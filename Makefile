@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race race check fuzz bench bench-baseline bench-check bench-grid bench-trajectory cover examples experiments serve cluster-smoke soak-smoke persist-smoke clean
+.PHONY: all build vet test test-race race check fuzz bench bench-baseline bench-check bench-grid bench-trajectory cover examples experiments experiments-check serve cluster-smoke soak-smoke persist-smoke clean
 
 all: build vet test
 
@@ -71,6 +71,15 @@ examples:
 
 experiments:
 	$(GO) run ./cmd/wrtexperiments > EXPERIMENTS.md
+
+# experiments-check regenerates the report into a temp file and fails if it
+# differs from the committed EXPERIMENTS.md or if any verdict reads
+# NOT REPRODUCED.
+experiments-check:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	$(GO) run ./cmd/wrtexperiments > "$$tmp" && \
+	diff -u EXPERIMENTS.md "$$tmp" && \
+	! grep -n 'NOT REPRODUCED' "$$tmp"
 
 # serve launches the scenario service (see README "Running as a service").
 PORT ?= 8080

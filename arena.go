@@ -11,24 +11,25 @@ import (
 
 // Arena is a reusable simulation allocation pool for workloads that build
 // and run many scenarios back to back (sweep grids, the serve job queue).
-// Build on a fresh Arena allocates exactly like the package-level Build;
-// every Build after that resets and reuses the kernel's event structs and
-// heap, the radio's node table and reach matrix, the protocol layer's
-// station structs, maps and queue arrays, and the trace recorder — the
-// whole per-run setup cost that dominates small-scenario grids.
+// The package-level Build is a build into a fresh Arena; every Build after
+// the first resets and reuses the kernel's event structs and heap, the
+// radio's node table and reach matrix, the protocol layer's station
+// structs, maps and queue arrays, and the trace recorder — the whole
+// per-run setup cost that dominates small-scenario grids.
 //
-// Reuse is observably invisible: both paths derive all protocol state from
-// the scenario alone and consume the seed's RNG in the identical order, so
-// a network built into an arena produces byte-identical traces and stats to
-// a freshly built one (asserted by TestArenaReuseByteIdentical against the
-// golden hot-path matrix). This holds regardless of how the previous run
-// ended — completed, cancelled mid-run, or faulted — because Build resets
-// every component unconditionally before constructing the next network.
+// Reuse is observably invisible: every build derives all protocol state
+// from the scenario alone and consumes the seed's RNG in the identical
+// order, so a network built into a used arena produces byte-identical
+// traces and stats to one built into a fresh arena (asserted by
+// TestArenaReuseByteIdentical against the golden hot-path matrix). This
+// holds regardless of how the previous run ended — completed, cancelled
+// mid-run, or faulted — because Build resets every component
+// unconditionally before constructing the next network.
 //
 // An Arena is not safe for concurrent use, and building invalidates every
 // Network previously built from the same arena (they share the underlying
 // simulation state). Each worker goroutine owns its own arena; see
-// runner.Options.ReuseArenas.
+// runner.Pool.
 type Arena struct {
 	kernel  *sim.Kernel
 	medium  *radio.Medium
@@ -97,11 +98,4 @@ func (s *buildScratch) nextGenSlot() *genSlot {
 // NewArena returns an empty arena. The first Build populates it.
 func NewArena() *Arena {
 	return &Arena{}
-}
-
-// Build constructs the scenario into the arena, reusing the previous
-// build's allocations. See Build for the scenario semantics and the Arena
-// doc for the reuse contract.
-func (a *Arena) Build(s Scenario) (*Network, error) {
-	return buildInto(a, s)
 }

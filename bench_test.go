@@ -1,39 +1,30 @@
 // Benchmarks regenerating the paper's evaluation. The paper's §3 is an
-// analytical comparison (it has no numeric tables), so each benchmark
-// measures the corresponding claim in simulation and reports the paper's
-// quantities as benchmark metrics next to the closed-form bounds. The
-// experiment IDs (E1–E15) are indexed in DESIGN.md; EXPERIMENTS.md records
-// paper-vs-measured for each.
+// analytical comparison (it has no numeric tables), so each benchmark runs
+// its experiment from the internal/experiments registry — the same entry
+// cmd/wrtexperiments renders into EXPERIMENTS.md, at the same defaults —
+// reports the entry's metrics next to the closed-form bounds, and fails
+// unless the entry's verdict is REPRODUCED.
 //
-// Run with: go test -bench=. -benchmem
+// Run with: go test -run '^$' -bench '^BenchmarkE' -benchtime 1x .
 //
 // The file lives in the external wrtring_test package (dot-importing the
-// library) so that the multi-scenario benchmarks can dispatch their grids
-// through internal/runner — which imports wrtring and therefore cannot be
-// used from the library's own test package. Pass -jobs to spread those
-// grids across workers; -jobs 1 reproduces the serial runs byte-for-byte.
+// library) so that it can import internal/experiments and internal/runner,
+// which import wrtring and therefore cannot be used from the library's own
+// test package. Pass -jobs to spread each experiment's grid across workers;
+// the outcome does not depend on the value.
 package wrtring_test
 
 import (
 	"flag"
-	"fmt"
-	"runtime"
 	"testing"
 
 	. "github.com/rtnet/wrtring"
-	"github.com/rtnet/wrtring/internal/analysis"
-	"github.com/rtnet/wrtring/internal/bwalloc"
-	"github.com/rtnet/wrtring/internal/core"
-	"github.com/rtnet/wrtring/internal/csma"
-	"github.com/rtnet/wrtring/internal/radio"
-	"github.com/rtnet/wrtring/internal/runner"
-	"github.com/rtnet/wrtring/internal/sim"
-	"github.com/rtnet/wrtring/internal/topology"
+	"github.com/rtnet/wrtring/internal/experiments"
 )
 
-// benchJobs spreads each benchmark's scenario grid across a worker pool.
+// benchJobs spreads each experiment's scenario grid across a worker pool.
 // Per-run determinism makes the reported metrics independent of the value.
-var benchJobs = flag.Int("jobs", runtime.NumCPU(),
+var benchJobs = flag.Int("jobs", experiments.Defaults().Jobs,
 	"parallel simulation workers for batched benchmarks; 1 runs serially")
 
 // satScenario saturates every station with Premium+BestEffort toward dest.
@@ -56,606 +47,72 @@ func mustRun(b *testing.B, s Scenario) *Result {
 	return res
 }
 
-// runBatch is the replicate-loop executor: it dispatches independent
-// scenarios across the -jobs worker pool and fails the benchmark on the
-// first error. Results come back in submission order, so callers index
-// them exactly like the serial runs they replace.
-func runBatch(b *testing.B, ss ...Scenario) []*Result {
+// runExperiment runs the registry entry whose bench list names the calling
+// benchmark, reports its metrics, and fails unless it reproduces.
+func runExperiment(b *testing.B) {
 	b.Helper()
-	out := make([]*Result, len(ss))
-	for i, r := range runner.RunScenarios(ss, runner.Options{Jobs: *benchJobs}) {
-		if r.Err != nil {
-			b.Fatal(r.Err)
-		}
-		out[i] = r.Res
+	e, ok := experiments.ByBench(b.Name())
+	if !ok {
+		b.Fatalf("no experiment lists %s as its bench", b.Name())
 	}
-	return out
-}
-
-// BenchmarkE1CDMAConcurrency — Figure 1 / §2.1: with CDMA, concurrent
-// transmissions on the ring never collide; without it (one shared code)
-// stations receive corrupted data and throughput collapses.
-func BenchmarkE1CDMAConcurrency(b *testing.B) {
+	p := experiments.Defaults()
+	p.Jobs = *benchJobs
+	var out *experiments.Outcome
 	for i := 0; i < b.N; i++ {
-		base := satScenario(WRTRing, 12, Offset(1), 20_000, 1)
-		base.DisableCDMA = true
-		base.DisableRecovery = true
-		res := runBatch(b, satScenario(WRTRing, 12, Offset(1), 20_000, 1), base)
-		with, without := res[0], res[1]
-		if with.RadioCollisions != 0 {
-			b.Fatalf("CDMA run collided %d times", with.RadioCollisions)
+		var err error
+		if out, err = e.Run(p); err != nil {
+			b.Fatalf("%s: %v", e.ID, err)
 		}
-		b.ReportMetric(with.Throughput, "cdma_pkt/slot")
-		b.ReportMetric(without.Throughput, "shared_pkt/slot")
-		b.ReportMetric(float64(without.RadioCollisions), "shared_collisions")
-	}
-}
-
-// BenchmarkE2HopsPerRound — Figure 4 / §3.2.1: the token traverses 2·(N−1)
-// links per round, the SAT only N.
-func BenchmarkE2HopsPerRound(b *testing.B) {
-	for _, n := range []int{5, 10, 20, 50} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := runBatch(b,
-					Scenario{N: n, Duration: 20_000, Seed: 2},
-					Scenario{Protocol: TPT, N: n, Duration: 20_000, Seed: 2})
-				ring, tree := res[0], res[1]
-				if ring.HopsPerRound != float64(n) {
-					b.Fatalf("SAT hops/round = %.1f, want %d", ring.HopsPerRound, n)
-				}
-				want := float64(2 * (n - 1))
-				if tree.HopsPerRound < want-0.5 || tree.HopsPerRound > want+0.5 {
-					b.Fatalf("token hops/round = %.2f, want %.0f", tree.HopsPerRound, want)
-				}
-				b.ReportMetric(ring.HopsPerRound, "sat_hops")
-				b.ReportMetric(tree.HopsPerRound, "token_hops")
-				b.ReportMetric(tree.HopsPerRound/ring.HopsPerRound, "ratio")
-			}
-		})
-	}
-}
-
-// BenchmarkE3SignalRoundTrip — §3.3: with equal reserved bandwidth, the
-// idle SAT round trip N·(Tproc+Tprop)+Trap beats the token's
-// 2(N−1)·(Tproc+Tprop)+Trap, analytically and as measured.
-func BenchmarkE3SignalRoundTrip(b *testing.B) {
-	for _, n := range []int{5, 10, 20, 50} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := Scenario{N: n, L: 2, K: 2, EnableRAP: true, Duration: 30_000, Seed: 3}
-				satRT, tokenRT, _, _ := BoundsFor(s)
-				st := s
-				st.Protocol = TPT
-				res := runBatch(b, s, st)
-				ring, tree := res[0], res[1]
-				if ring.MeanRotation >= tree.MeanRotation {
-					b.Fatalf("SAT rotation %.1f not below token rotation %.1f",
-						ring.MeanRotation, tree.MeanRotation)
-				}
-				b.ReportMetric(float64(satRT), "sat_rt_bound")
-				b.ReportMetric(float64(tokenRT), "token_rt_bound")
-				b.ReportMetric(ring.MeanRotation, "sat_rt_meas")
-				b.ReportMetric(tree.MeanRotation, "token_rt_meas")
-			}
-		})
-	}
-}
-
-// BenchmarkE4LossReaction — §3.3: SAT_TIME < D = 2·TTRT; measured detection
-// and repair latencies for signal loss and station death, WRT-Ring splicing
-// vs TPT rebuilding.
-func BenchmarkE4LossReaction(b *testing.B) {
-	type cfg struct {
-		proto Protocol
-		fault string
-	}
-	for _, c := range []cfg{
-		{WRTRing, "signal-loss"}, {WRTRing, "station-death"},
-		{TPT, "signal-loss"}, {TPT, "station-death"},
-	} {
-		b.Run(fmt.Sprintf("%s/%s", c.proto, c.fault), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				net, err := Build(Scenario{
-					Protocol: c.proto, N: 16, L: 2, K: 2, Seed: 4, Duration: 40_000,
-					Sources: []Source{{Station: AllStations, Kind: CBR, Class: Premium,
-						Period: 80, Dest: Opposite()}},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				net.Start()
-				net.Kernel.At(10_000, sim.PrioAdmin, func() {
-					switch {
-					case c.fault == "signal-loss" && net.Ring != nil:
-						net.Ring.LoseSATOnce()
-					case c.fault == "signal-loss":
-						net.Tree.LoseTokenOnce()
-					case net.Ring != nil:
-						net.Ring.KillStation(8)
-					default:
-						net.Tree.KillStation(8)
-					}
-				})
-				res := net.Run()
-				if res.Dead {
-					b.Fatalf("network died")
-				}
-				if res.Detections == 0 {
-					b.Fatalf("fault not detected")
-				}
-				b.ReportMetric(float64(res.RotationBound), "loss_bound")
-				b.ReportMetric(res.DetectLatency, "detect_slots")
-				b.ReportMetric(res.HealLatency, "heal_slots")
-				b.ReportMetric(float64(res.Reformations), "rebuilds")
-			}
-		})
-	}
-}
-
-// BenchmarkE5SATTimeBound — Theorem 1 / Proposition 1: the measured maximum
-// SAT rotation stays strictly below S + T_rap + 2·Σ(l+k) under saturation.
-func BenchmarkE5SATTimeBound(b *testing.B) {
-	for _, n := range []int{8, 16, 32} {
-		for _, lk := range [][2]int{{1, 1}, {2, 2}, {4, 2}} {
-			b.Run(fmt.Sprintf("N=%d/l=%d/k=%d", n, lk[0], lk[1]), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					s := satScenario(WRTRing, n, Opposite(), 40_000, 5)
-					s.L, s.K = lk[0], lk[1]
-					s.EnableRAP = true
-					res := mustRun(b, s)
-					if res.MaxRotation >= res.RotationBound {
-						b.Fatalf("Theorem 1 violated: max %d >= bound %d",
-							res.MaxRotation, res.RotationBound)
-					}
-					b.ReportMetric(float64(res.MaxRotation), "max_rotation")
-					b.ReportMetric(float64(res.RotationBound), "thm1_bound")
-					b.ReportMetric(float64(res.MaxRotation)/float64(res.RotationBound), "tightness")
-				}
-			})
+		if !out.Reproduced() {
+			b.Fatalf("%s NOT REPRODUCED: %v", e.ID, out.Failures)
 		}
 	}
-}
-
-// BenchmarkE6MultiRotationBound — Theorem 2 / Proposition 2: the time
-// spanned by n consecutive SAT arrivals stays under
-// n·S + n·T_rap + (n+1)·Σ(l+k).
-func BenchmarkE6MultiRotationBound(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		net, err := Build(satScenario(WRTRing, 12, Opposite(), 40_000, 6))
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Track SAT arrival times at station 0 via rotation samples.
-		var arrivals []sim.Time
-		st := net.Ring.Station(0)
-		net.Start()
-		net.Kernel.EverySlot(0, sim.PrioStats, func(t sim.Time) bool {
-			if n := st.Metrics.Rotation.N(); int(n) > len(arrivals) {
-				arrivals = append(arrivals, t)
-			}
-			return true
-		})
-		net.Run()
-		p := net.Ring.RingParams()
-		worst := 0.0
-		for _, span := range []int64{2, 4, 8, 16} {
-			bound := analysis.MultiRotationBound(p, span)
-			var maxSpan int64
-			for j := int(span); j < len(arrivals); j++ {
-				if d := int64(arrivals[j] - arrivals[j-int(span)]); d > maxSpan {
-					maxSpan = d
-				}
-			}
-			if maxSpan > bound {
-				b.Fatalf("Theorem 2 violated for n=%d: %d > %d", span, maxSpan, bound)
-			}
-			if r := float64(maxSpan) / float64(bound); r > worst {
-				worst = r
-			}
-		}
-		b.ReportMetric(worst, "worst_tightness")
+	for _, m := range out.Metrics {
+		b.ReportMetric(m.Value, m.Name)
 	}
 }
 
-// BenchmarkE7MeanRotation — Proposition 3: the average SAT rotation stays
-// at or below S + T_rap + Σ(l+k), approached under saturation.
-func BenchmarkE7MeanRotation(b *testing.B) {
-	for _, load := range []string{"idle", "saturated"} {
-		b.Run(load, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var s Scenario
-				if load == "idle" {
-					s = Scenario{N: 12, L: 2, K: 2, Duration: 40_000, Seed: 7}
-				} else {
-					s = satScenario(WRTRing, 12, Opposite(), 40_000, 7)
-				}
-				res := mustRun(b, s)
-				if res.MeanRotation > float64(res.MeanRotationBound) {
-					b.Fatalf("Proposition 3 violated: mean %.2f > %d",
-						res.MeanRotation, res.MeanRotationBound)
-				}
-				b.ReportMetric(res.MeanRotation, "mean_rotation")
-				b.ReportMetric(float64(res.MeanRotationBound), "prop3_bound")
-			}
-		})
-	}
-}
+// BenchmarkE1CDMAConcurrency — Figure 1 / §2.1: CDMA concurrency.
+func BenchmarkE1CDMAConcurrency(b *testing.B) { runExperiment(b) }
 
-// BenchmarkE8AccessDelayBound — Theorem 3: every tagged real-time packet's
-// queueing wait stays under SAT_TIME[⌈(x+1)/l⌉+1], across quota settings
-// and queue depths.
-func BenchmarkE8AccessDelayBound(b *testing.B) {
-	for _, l := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("l=%d", l), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				net, err := Build(Scenario{
-					N: 12, L: l, K: 2, Seed: 8, Duration: 60_000,
-					Sources: []Source{
-						{Station: AllStations, Kind: OnOff, Class: Premium, Mean: 400,
-							Burst: 6 * l, Dest: Opposite(), Tagged: true},
-						{Station: AllStations, Kind: Poisson, Class: BestEffort,
-							Mean: 50, Dest: Uniform()},
-					},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res := net.Run()
-				if res.Dead {
-					b.Fatal("ring died")
-				}
-				if len(net.Ring.Tagged) == 0 {
-					b.Fatal("no Theorem-3 probes")
-				}
-				worst, maxX := 0.0, 0
-				for _, p := range net.Ring.Tagged {
-					if p.Wait > p.Bound {
-						b.Fatalf("Theorem 3 violated: wait=%d bound=%d x=%d", p.Wait, p.Bound, p.X)
-					}
-					if r := float64(p.Wait) / float64(p.Bound); r > worst {
-						worst = r
-					}
-					if p.X > maxX {
-						maxX = p.X
-					}
-				}
-				b.ReportMetric(worst, "worst_wait/bound")
-				b.ReportMetric(float64(maxX), "max_x")
-				b.ReportMetric(float64(len(net.Ring.Tagged)), "probes")
-			}
-		})
-	}
-}
+// BenchmarkE2HopsPerRound — Figure 4 / §3.2.1: control-signal hops per round.
+func BenchmarkE2HopsPerRound(b *testing.B) { runExperiment(b) }
 
-// BenchmarkE9DiffservClasses — §2.3 / Figure 2: under best-effort overload,
-// Premium (l quota) is untouched and Assured (k1) keeps priority over
-// best-effort (k2).
-func BenchmarkE9DiffservClasses(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := runBatch(b,
-			Scenario{N: 10, L: 2, K: 4, Seed: 9, Duration: 40_000,
-				Sources: []Source{
-					{Station: AllStations, Kind: CBR, Class: Premium, Period: 60, Dest: Opposite()},
-				}},
-			Scenario{N: 10, L: 2, K: 4, Seed: 9, Duration: 40_000,
-				Sources: []Source{
-					{Station: AllStations, Kind: CBR, Class: Premium, Period: 60, Dest: Opposite()},
-					{Station: AllStations, Kind: CBR, Class: Assured, Period: 90, Dest: Opposite()},
-					{Station: AllStations, Class: BestEffort, Dest: Opposite(), Preload: 40_000},
-				}})
-		baseline, overload := res[0], res[1]
-		// Premium deliveries and delay must be unaffected by the overload.
-		if overload.Delivered[Premium] < baseline.Delivered[Premium]*99/100 {
-			b.Fatalf("premium starved: %d vs %d", overload.Delivered[Premium], baseline.Delivered[Premium])
-		}
-		b.ReportMetric(overload.MeanDelay[Premium]/baseline.MeanDelay[Premium], "premium_delay_ratio")
-		b.ReportMetric(overload.MeanDelay[Assured], "assured_delay")
-		b.ReportMetric(overload.MeanDelay[BestEffort], "be_delay")
-		if overload.MeanDelay[Assured] >= overload.MeanDelay[BestEffort] {
-			b.Fatalf("assured (%.1f) not prioritised over best-effort (%.1f)",
-				overload.MeanDelay[Assured], overload.MeanDelay[BestEffort])
-		}
-	}
-}
+// BenchmarkE3SignalRoundTrip — §3.3: SAT vs token round trip.
+func BenchmarkE3SignalRoundTrip(b *testing.B) { runExperiment(b) }
 
-// BenchmarkE10JoinDuringQoS — §2.4.1 / Figure 3: stations join through the
-// RAP while existing QoS guarantees keep holding; one join per SAT round.
-func BenchmarkE10JoinDuringQoS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := joinExperiment(b, 10, 3, uint64(10+i))
-		b.ReportMetric(res.joinLatency, "join_latency_slots")
-		b.ReportMetric(res.worstRatio, "worst_wait/bound")
-		b.ReportMetric(res.joined, "joined")
-	}
-}
+// BenchmarkE4LossReaction — §3.3: reaction to signal loss and station death.
+func BenchmarkE4LossReaction(b *testing.B) { runExperiment(b) }
 
-type joinResult struct {
-	joinLatency float64
-	worstRatio  float64
-	joined      float64
-}
+// BenchmarkE5SATTimeBound — Theorem 1 / Proposition 1.
+func BenchmarkE5SATTimeBound(b *testing.B) { runExperiment(b) }
 
-func joinExperiment(b *testing.B, n, joiners int, seed uint64) joinResult {
-	b.Helper()
-	net, err := Build(Scenario{
-		N: n, L: 2, K: 2, Seed: seed, EnableRAP: true, Duration: 80_000,
-		Sources: []Source{{Station: AllStations, Kind: CBR, Class: Premium,
-			Period: 60, Dest: Opposite(), Tagged: true}},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ring, med := net.Ring, net.Medium
-	net.Start()
-	var js []*core.Joiner
-	for j := 0; j < joiners; j++ {
-		// Between stations 2j and 2j+1.
-		a := med.PositionOf(ring.Station(core.StationID(2 * j)).Node)
-		c := med.PositionOf(ring.Station(core.StationID(2*j + 1)).Node)
-		node := med.AddNode(midpoint(a, c), med.RangeOf(ring.Station(0).Node), nil)
-		js = append(js, ring.NewJoiner(core.StationID(100+j), node,
-			radio.Code(100+j), core.Quota{L: 1, K1: 1}))
-	}
-	net.Run()
-	var out joinResult
-	var latSum, latN float64
-	for _, j := range js {
-		if j.Joined() {
-			out.joined++
-			latSum += float64(j.JoinLatency())
-			latN++
-		}
-	}
-	if latN > 0 {
-		out.joinLatency = latSum / latN
-	}
-	for _, p := range ring.Tagged {
-		if p.Wait > p.Bound {
-			b.Fatalf("Theorem 3 violated during churn: wait=%d bound=%d", p.Wait, p.Bound)
-		}
-		if r := float64(p.Wait) / float64(p.Bound); r > out.worstRatio {
-			out.worstRatio = r
-		}
-	}
-	if out.joined == 0 {
-		b.Fatalf("no joiner made it into the ring")
-	}
-	return out
-}
+// BenchmarkE6MultiRotationBound — Theorem 2 / Proposition 2.
+func BenchmarkE6MultiRotationBound(b *testing.B) { runExperiment(b) }
 
-// BenchmarkE11RecoveryGeometry — §2.5: the splice succeeds iff the failed
-// station's predecessor can physically reach its successor; with hidden
-// terminals the ring must re-form, and without hidden terminals recovery
-// cannot fail.
-func BenchmarkE11RecoveryGeometry(b *testing.B) {
-	for _, reach := range []struct {
-		name   string
-		chords float64
-		splice bool
-	}{
-		{"dense-no-hidden", 2.5, true},
-		{"sparse-hidden", 1.05, false}, // neighbours only: i−1 cannot reach i+1
-	} {
-		b.Run(reach.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				net, err := Build(Scenario{
-					N: 12, L: 2, K: 2, Seed: 11, Duration: 40_000,
-					RangeChords: reach.chords,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				net.Start()
-				net.Kernel.At(5_000, sim.PrioAdmin, func() { net.Ring.KillStation(6) })
-				res := net.Run()
-				if reach.splice {
-					if res.Splices == 0 || res.Reformations != 0 {
-						b.Fatalf("dense geometry: want splice, got splices=%d reforms=%d",
-							res.Splices, res.Reformations)
-					}
-				} else {
-					if res.Reformations == 0 {
-						b.Fatalf("hidden-terminal geometry: want re-formation, got splices=%d",
-							res.Splices)
-					}
-				}
-				b.ReportMetric(float64(res.Splices), "splices")
-				b.ReportMetric(float64(res.Reformations), "reforms")
-				b.ReportMetric(res.HealLatency, "heal_slots")
-			}
-		})
-	}
-}
+// BenchmarkE7MeanRotation — Proposition 3.
+func BenchmarkE7MeanRotation(b *testing.B) { runExperiment(b) }
 
-// BenchmarkE12Capacity — §3.2 (via [13]): concurrent access gives WRT-Ring
-// higher saturated capacity than the single-talker token tree; spatial
-// reuse widens the gap for local (neighbour) traffic.
-func BenchmarkE12Capacity(b *testing.B) {
-	for _, n := range []int{8, 16, 32} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := runBatch(b,
-					satScenario(WRTRing, n, Opposite(), 30_000, 12),
-					satScenario(TPT, n, Opposite(), 30_000, 12),
-					satScenario(WRTRing, n, Offset(1), 30_000, 12),
-					satScenario(TPT, n, Offset(1), 30_000, 12))
-				rOpp, tOpp := res[0].Throughput, res[1].Throughput
-				rNbr, tNbr := res[2].Throughput, res[3].Throughput
-				if rOpp <= tOpp {
-					b.Fatalf("N=%d: ring capacity %.3f not above tpt %.3f", n, rOpp, tOpp)
-				}
-				b.ReportMetric(rOpp/tOpp, "ratio_opposite")
-				b.ReportMetric(rNbr/tNbr, "ratio_neighbor")
-				b.ReportMetric(rNbr, "ring_nbr_pkt/slot")
-			}
-		})
-	}
-}
+// BenchmarkE8AccessDelayBound — Theorem 3.
+func BenchmarkE8AccessDelayBound(b *testing.B) { runExperiment(b) }
 
-// BenchmarkE13Integration — §2.2: inside a station, real-time traffic is
-// served before non-real-time; per SAT round no station exceeds l+k
-// transmissions; unused k authorisations expire.
-func BenchmarkE13Integration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		net, err := Build(satScenario(WRTRing, 10, Opposite(), 30_000, 13))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := net.Run()
-		rounds := float64(res.Rounds)
-		for _, st := range net.Ring.Stations() {
-			sent := float64(st.Metrics.Sent[Premium] + st.Metrics.Sent[Assured] + st.Metrics.Sent[BestEffort])
-			perRound := sent / rounds
-			if perRound > float64(2+2)+0.1 {
-				b.Fatalf("station %d sent %.2f packets/round > l+k", st.ID, perRound)
-			}
-		}
-		// Priority: premium mean wait must be far below best-effort's.
-		prem := net.Ring.Station(0).Metrics.Wait[Premium].Mean()
-		be := net.Ring.Station(0).Metrics.Wait[BestEffort].Mean()
-		if be > 0 && prem >= be {
-			b.Fatalf("premium wait %.1f not below best-effort %.1f", prem, be)
-		}
-		b.ReportMetric(prem, "premium_wait")
-		b.ReportMetric(be, "be_wait")
-	}
-}
+// BenchmarkE9DiffservClasses — §2.3 / Figure 2.
+func BenchmarkE9DiffservClasses(b *testing.B) { runExperiment(b) }
 
-// BenchmarkE14Allocation — footnote 1: FDDI-style bandwidth allocation
-// schemes applied to WRT-Ring meet every deadline that the Theorem-3
-// admission test accepts.
-func BenchmarkE14Allocation(b *testing.B) {
-	for _, scheme := range []bwalloc.Scheme{bwalloc.MinimalFeasible, bwalloc.EqualPartition, bwalloc.Proportional} {
-		b.Run(scheme.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				n := 8
-				in := bwalloc.Input{
-					N: n, S: int64(n), TRap: 0,
-					K: []int{1, 1, 1, 1, 1, 1, 1, 1},
-					Streams: []bwalloc.Stream{
-						{Station: 0, Period: 40, Deadline: 1200},
-						{Station: 2, Period: 60, Deadline: 1500},
-						{Station: 5, Period: 100, Deadline: 2500},
-					},
-					MaxL: 16,
-				}
-				alloc, err := bwalloc.Allocate(scheme, in)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !alloc.Feasible {
-					b.Fatalf("%s infeasible for a feasible problem", scheme)
-				}
-				// Run the allocation and verify zero deadline misses.
-				quotas := make([]Quota, n)
-				var sources []Source
-				for s := 0; s < n; s++ {
-					quotas[s] = Quota{L: alloc.L[s], K1: in.K[s]}
-				}
-				for _, st := range in.Streams {
-					sources = append(sources, Source{Station: st.Station, Kind: CBR,
-						Class: Premium, Period: st.Period, Deadline: st.Deadline,
-						Dest: Opposite(), Tagged: true})
-				}
-				net, err := Build(Scenario{N: n, Quotas: quotas, Seed: 14, Duration: 60_000, Sources: sources})
-				if err != nil {
-					b.Fatal(err)
-				}
-				net.Run()
-				var missed int64
-				for _, st := range net.Ring.Stations() {
-					missed += st.Metrics.Deadlines.Missed
-				}
-				if missed > 0 {
-					b.Fatalf("%s: %d deadline misses under admitted load", scheme, missed)
-				}
-				b.ReportMetric(float64(alloc.SumLK), "sum_lk")
-				b.ReportMetric(0, "deadline_misses")
-			}
-		})
-	}
-}
+// BenchmarkE10JoinDuringQoS — §2.4.1 / Figure 3.
+func BenchmarkE10JoinDuringQoS(b *testing.B) { runExperiment(b) }
 
-func midpoint(a, c radio.Position) radio.Position {
-	return radio.Position{X: (a.X + c.X) / 2, Y: (a.Y + c.Y) / 2}
-}
+// BenchmarkE11RecoveryGeometry — §2.5.
+func BenchmarkE11RecoveryGeometry(b *testing.B) { runExperiment(b) }
 
-// BenchmarkE15ContentionBaseline — §1 (motivation): under the same periodic
-// load, an 802.11-style contention MAC suffers collisions that grow with
-// the station count and a delay tail with no bound, while WRT-Ring's worst
-// delay stays under its Theorem-1-derived bound. This quantifies the
-// paper's reason for existing.
-func BenchmarkE15ContentionBaseline(b *testing.B) {
-	for _, n := range []int{8, 16, 24} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				csmaMax, csmaColl := runContentionCell(b, n, 30, 40_000, 15)
-				ring := mustRun(b, Scenario{
-					N: n, L: 2, K: 2, Seed: 15, Duration: 40_000,
-					Sources: []Source{{Station: AllStations, Kind: CBR, Class: Premium,
-						Period: 30, Dest: Opposite()}},
-				})
-				if ring.Dead {
-					b.Fatal("ring died")
-				}
-				ringMax := ring.MaxDelay[Premium]
-				b.ReportMetric(csmaMax, "csma_max_delay")
-				b.ReportMetric(ringMax, "ring_max_delay")
-				b.ReportMetric(csmaColl, "csma_collision_rate")
-				if n >= 16 && csmaMax <= ringMax {
-					b.Fatalf("contention MAC outperformed the ring at N=%d: %f <= %f",
-						n, csmaMax, ringMax)
-				}
-			}
-		})
-	}
-}
+// BenchmarkE12Capacity — §3.2 (via [13]).
+func BenchmarkE12Capacity(b *testing.B) { runExperiment(b) }
 
-// runContentionCell drives the CSMA baseline with the same CBR load and
-// returns (max delay, collisions per transmission).
-func runContentionCell(b *testing.B, n int, period, dur int64, seed uint64) (maxDelay, collRate float64) {
-	b.Helper()
-	kern := sim.NewKernel()
-	rng := sim.NewRNG(seed)
-	med := radio.NewMedium(kern, rng.Split())
-	pos := topologyCircle(n)
-	members := make([]csma.Member, n)
-	for i := 0; i < n; i++ {
-		node := med.AddNode(pos[i], 1000, nil)
-		members[i] = csma.Member{ID: core.StationID(i), Node: node}
-	}
-	net, err := csma.New(kern, med, rng.Split(), csma.Params{}, members)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net.Start()
-	for i := 0; i < n; i++ {
-		i := i
-		st := net.Station(core.StationID(i))
-		seq := int64(0)
-		var pump func()
-		pump = func() {
-			if kern.Now() >= sim.Time(dur) {
-				return
-			}
-			seq++
-			st.Enqueue(core.Packet{Dst: core.StationID((i + n/2) % n), Seq: seq})
-			kern.After(sim.Time(period), sim.PrioTraffic, pump)
-		}
-		kern.At(sim.Time(1+i), sim.PrioTraffic, pump)
-	}
-	kern.Run(sim.Time(dur))
-	var sent int64
-	for i := 0; i < n; i++ {
-		sent += net.Station(core.StationID(i)).Metrics.Sent
-	}
-	if sent == 0 {
-		b.Fatal("contention cell never transmitted")
-	}
-	return net.Metrics.Delay.Max(), float64(net.Metrics.Collisions) / float64(sent)
-}
+// BenchmarkE13Integration — §2.2.
+func BenchmarkE13Integration(b *testing.B) { runExperiment(b) }
 
-func topologyCircle(n int) []radio.Position {
-	return topology.Circle(n, 20)
-}
+// BenchmarkE14Allocation — footnote 1 / §2.6.
+func BenchmarkE14Allocation(b *testing.B) { runExperiment(b) }
+
+// BenchmarkE15ContentionBaseline — §1 (motivation).
+func BenchmarkE15ContentionBaseline(b *testing.B) { runExperiment(b) }

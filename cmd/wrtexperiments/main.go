@@ -1,6 +1,7 @@
 // Command wrtexperiments runs every experiment in the reproduction index
 // (E1–E16, see DESIGN.md) and emits a Markdown report of paper-claim versus
-// measured value — the generator behind EXPERIMENTS.md.
+// measured value — the generator behind EXPERIMENTS.md. The experiments
+// themselves live in internal/experiments; this command only prints them.
 //
 // Each experiment's simulations are independent seeded runs, so every
 // experiment dispatches its grid through the shared batch runner across
@@ -12,704 +13,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
-	wrtring "github.com/rtnet/wrtring"
-	"github.com/rtnet/wrtring/internal/analysis"
-	"github.com/rtnet/wrtring/internal/bwalloc"
-	"github.com/rtnet/wrtring/internal/core"
-	"github.com/rtnet/wrtring/internal/csma"
-	"github.com/rtnet/wrtring/internal/radio"
-	"github.com/rtnet/wrtring/internal/runner"
-	"github.com/rtnet/wrtring/internal/sim"
-	"github.com/rtnet/wrtring/internal/topology"
-)
-
-var (
-	dur  = flag.Int64("dur", 40_000, "slots per run")
-	seed = flag.Uint64("seed", 1, "base seed")
-	jobs = flag.Int("jobs", runtime.NumCPU(),
-		"parallel simulation workers; 1 reproduces the serial run byte-for-byte")
+	"github.com/rtnet/wrtring/internal/experiments"
 )
 
 func main() {
+	def := experiments.Defaults()
+	dur := flag.Int64("dur", def.Dur, "slots per run")
+	seed := flag.Uint64("seed", def.Seed, "base seed")
+	jobs := flag.Int("jobs", def.Jobs,
+		"parallel simulation workers; 1 reproduces the serial run byte-for-byte")
 	flag.Parse()
-	fmt.Println("# EXPERIMENTS — paper vs. measured")
-	fmt.Println()
-	fmt.Println("Generated by `go run ./cmd/wrtexperiments`. All quantities in slot units")
-	fmt.Println("(the paper normalises every time quantity to the slot duration). The paper's")
-	fmt.Println("evaluation (§3) is analytical — it reports bounds and orderings, not testbed")
-	fmt.Println("numbers — so for each claim this table shows the closed form, the measured")
-	fmt.Println("value from our simulator, and whether the claimed *shape* (who wins, by")
-	fmt.Println("what factor, which bound holds) reproduces. The bench target column names")
-	fmt.Println("the `go test -bench` entry that regenerates the row.")
-	fmt.Println()
-
-	e1()
-	e2e3()
-	e4()
-	e5()
-	e6e7()
-	e8()
-	e9()
-	e10()
-	e11()
-	e12()
-	e13()
-	e14()
-	e15()
-	e16()
-
-	fmt.Println("## Reading notes")
-	fmt.Println()
-	fmt.Println("* **Detection latency vs. bound (E4):** the timers obey the SAT_TIME /")
-	fmt.Println("  2·TTRT bounds from the *last control-signal sighting*; the measured")
-	fmt.Println("  latency is referenced to the fault-injection instant, which adds the time")
-	fmt.Println("  the signal needed to reach the failure point. It can therefore slightly")
-	fmt.Println("  exceed the per-station bound without contradicting it.")
-	fmt.Println("* **Bound tightness (E5–E8):** the paper's worst case packs every")
-	fmt.Println("  adversarial choice into one rotation; symmetric saturated workloads reach")
-	fmt.Println("  roughly a third of it. The theorems only claim an upper bound, which")
-	fmt.Println("  holds in every run and configuration we measured.")
-	fmt.Println("* Runs are fully deterministic given the seed printed above" +
-		fmt.Sprintf(" (seed=%d, dur=%d).", *seed, *dur))
-}
-
-func hdr(id, artefact, claim string) {
-	fmt.Printf("## %s — %s\n\n", id, artefact)
-	fmt.Printf("**Paper claim.** %s\n\n", claim)
-}
-
-func row3(cols ...string) {
-	for i, c := range cols {
-		if i > 0 {
-			fmt.Print(" | ")
-		} else {
-			fmt.Print("| ")
-		}
-		fmt.Print(c)
-	}
-	fmt.Println(" |")
-}
-
-// runAll dispatches bare scenarios across the worker pool and exits on the
-// first per-job error, mirroring the old serial must(Run(...)) behaviour.
-func runAll(scenarios ...wrtring.Scenario) []*wrtring.Result {
-	rs := runner.RunScenarios(scenarios, runner.Options{Jobs: *jobs})
-	out := make([]*wrtring.Result, len(rs))
-	for i, r := range rs {
-		if r.Err != nil {
-			fmt.Fprintln(os.Stderr, r.Err)
-			os.Exit(1)
-		}
-		out[i] = r.Res
-	}
-	return out
-}
-
-// runJobs is runAll for jobs that need a Setup hook or post-run access to
-// the built network.
-func runJobs(jobList []runner.Job) []runner.Result {
-	rs := runner.Run(jobList, runner.Options{Jobs: *jobs})
-	for _, r := range rs {
-		if r.Err != nil {
-			fmt.Fprintln(os.Stderr, r.Err)
-			os.Exit(1)
-		}
-	}
-	return rs
-}
-
-func sat(proto wrtring.Protocol, n int, dest wrtring.DestSpec) wrtring.Scenario {
-	return wrtring.Scenario{
-		Protocol: proto, N: n, L: 2, K: 2, Seed: *seed, Duration: *dur,
-		Sources: []wrtring.Source{
-			{Station: wrtring.AllStations, Class: wrtring.Premium, Dest: dest, Preload: int(*dur)},
-			{Station: wrtring.AllStations, Class: wrtring.BestEffort, Dest: dest, Preload: int(*dur)},
-		},
-	}
-}
-
-func e1() {
-	hdr("E1", "Figure 1 / §2.1 (CDMA concurrency)",
-		"with per-station codes, concurrent transmissions do not collide; without CDMA "+
-			"station B receives corrupted data.")
-	s := sat(wrtring.WRTRing, 12, wrtring.Offset(1))
-	s.DisableCDMA = true
-	s.DisableRecovery = true
-	res := runAll(sat(wrtring.WRTRing, 12, wrtring.Offset(1)), s)
-	with, without := res[0], res[1]
-	row3("metric", "CDMA", "shared code")
-	row3("---", "---", "---")
-	row3("radio collisions", fmt.Sprint(with.RadioCollisions), fmt.Sprint(without.RadioCollisions))
-	row3("throughput (pkt/slot)", fmt.Sprintf("%.3f", with.Throughput), fmt.Sprintf("%.3f", without.Throughput))
-	verdict(with.RadioCollisions == 0 && without.Throughput < with.Throughput/4,
-		"collision-free under CDMA; collision-dominated collapse without it",
-		"BenchmarkE1CDMAConcurrency")
-}
-
-func e2e3() {
-	hdr("E2+E3", "Figure 4, §3.2.1 and §3.3 (control-signal round trip)",
-		"the token needs 2·(N−1) link traversals per round, the SAT only N; hence with equal "+
-			"reserved bandwidth the SAT round trip beats the token's, ratio → 2.")
-	row3("N", "SAT hops (meas)", "token hops (meas)", "SAT rt bound", "token rt bound", "SAT rot (meas)", "token rot (meas)")
-	row3("---", "---", "---", "---", "---", "---", "---")
-	sizes := []int{5, 10, 20, 50}
-	var grid []wrtring.Scenario
-	for _, n := range sizes {
-		grid = append(grid,
-			wrtring.Scenario{N: n, Seed: *seed, Duration: *dur},
-			wrtring.Scenario{Protocol: wrtring.TPT, N: n, Seed: *seed, Duration: *dur})
-	}
-	res := runAll(grid...)
-	ok := true
-	for i, n := range sizes {
-		ring, tree := res[2*i], res[2*i+1]
-		satRT, tokRT, _, _ := wrtring.BoundsFor(wrtring.Scenario{N: n, L: 2, K: 2})
-		row3(fmt.Sprint(n),
-			fmt.Sprintf("%.1f", ring.HopsPerRound), fmt.Sprintf("%.1f", tree.HopsPerRound),
-			fmt.Sprint(satRT), fmt.Sprint(tokRT),
-			fmt.Sprintf("%.1f", ring.MeanRotation), fmt.Sprintf("%.1f", tree.MeanRotation))
-		ok = ok && ring.HopsPerRound == float64(n) &&
-			tree.HopsPerRound > float64(2*(n-1))-1 && ring.MeanRotation < tree.MeanRotation
-	}
-	verdict(ok, "SAT visits the whole ring in N hops, the token needs 2·(N−1); SAT rotation is shorter throughout",
-		"BenchmarkE2HopsPerRound, BenchmarkE3SignalRoundTrip")
-}
-
-func e4() {
-	hdr("E4", "§3.3 (reaction to control-signal loss)",
-		"SAT_TIME < D = 2·TTRT, so WRT-Ring reacts faster; on a station failure WRT-Ring splices "+
-			"the ring locally while TPT must rebuild the entire tree.")
-	row3("protocol", "fault", "loss bound", "detect (meas)", "heal (meas)", "repair")
-	row3("---", "---", "---", "---", "---", "---")
-	type faultCase struct {
-		proto wrtring.Protocol
-		fault string
-	}
-	var cases []faultCase
-	var jobList []runner.Job
-	for _, proto := range []wrtring.Protocol{wrtring.WRTRing, wrtring.TPT} {
-		for _, fault := range []string{"signal-loss", "station-death"} {
-			c := faultCase{proto: proto, fault: fault}
-			cases = append(cases, c)
-			jobList = append(jobList, runner.Job{
-				Name: fmt.Sprintf("%s/%s", proto, fault),
-				Scenario: wrtring.Scenario{
-					Protocol: proto, N: 16, L: 2, K: 2, Seed: *seed, Duration: *dur,
-					Sources: []wrtring.Source{{Station: wrtring.AllStations, Kind: wrtring.CBR,
-						Class: wrtring.Premium, Period: 80, Dest: wrtring.Opposite()}},
-				},
-				Setup: func(net *wrtring.Network) error {
-					net.Kernel.At(sim.Time(*dur/4), sim.PrioAdmin, func() {
-						switch {
-						case c.fault == "signal-loss" && net.Ring != nil:
-							net.Ring.LoseSATOnce()
-						case c.fault == "signal-loss":
-							net.Tree.LoseTokenOnce()
-						case net.Ring != nil:
-							net.Ring.KillStation(8)
-						default:
-							net.Tree.KillStation(8)
-						}
-					})
-					return nil
-				},
-			})
-		}
-	}
-	okBound, okRepair := true, true
-	var ringBound, treeBound int64
-	for i, r := range runJobs(jobList) {
-		res, c := r.Res, cases[i]
-		repair := "none"
-		switch {
-		case res.Reformations > 0:
-			repair = "rebuild"
-		case res.Splices > 0:
-			repair = "splice"
-		}
-		row3(c.proto.String(), c.fault, fmt.Sprint(res.RotationBound),
-			fmt.Sprintf("%.0f", res.DetectLatency), fmt.Sprintf("%.0f", res.HealLatency), repair)
-		if c.proto == wrtring.WRTRing {
-			ringBound = res.RotationBound
-			if c.fault == "station-death" && repair != "splice" {
-				okRepair = false
-			}
-		} else {
-			treeBound = res.RotationBound
-			if c.fault == "station-death" && repair != "rebuild" {
-				okRepair = false
-			}
-		}
-	}
-	okBound = ringBound < treeBound
-	verdict(okBound && okRepair,
-		fmt.Sprintf("SAT_TIME=%d < 2·TTRT=%d; ring splices around the dead station, tree rebuilds", ringBound, treeBound),
-		"BenchmarkE4LossReaction")
-}
-
-func e5() {
-	hdr("E5", "Theorem 1 / Proposition 1 (SAT rotation bound)",
-		"SAT_TIME_i < S + T_rap + 2·Σ(l_j+k_j) for every station, under any traffic.")
-	row3("N", "l", "k", "max rotation (meas)", "Theorem-1 bound", "holds")
-	row3("---", "---", "---", "---", "---", "---")
-	sizes := []int{8, 16, 32}
-	quotas := [][2]int{{1, 1}, {2, 2}, {4, 2}}
-	var grid []wrtring.Scenario
-	for _, n := range sizes {
-		for _, lk := range quotas {
-			s := sat(wrtring.WRTRing, n, wrtring.Opposite())
-			s.L, s.K = lk[0], lk[1]
-			s.EnableRAP = true
-			grid = append(grid, s)
-		}
-	}
-	res := runAll(grid...)
-	ok := true
-	for i, n := range sizes {
-		for j, lk := range quotas {
-			r := res[i*len(quotas)+j]
-			holds := r.MaxRotation < r.RotationBound
-			ok = ok && holds
-			row3(fmt.Sprint(n), fmt.Sprint(lk[0]), fmt.Sprint(lk[1]),
-				fmt.Sprint(r.MaxRotation), fmt.Sprint(r.RotationBound), fmt.Sprint(holds))
-		}
-	}
-	verdict(ok, "every saturated configuration stays strictly below the bound", "BenchmarkE5SATTimeBound")
-}
-
-func e6e7() {
-	hdr("E6+E7", "Theorem 2 / Propositions 2–3 (multi-rotation and mean bounds)",
-		"n consecutive rotations span at most n·S + n·T_rap + (n+1)·Σ(l+k); the mean rotation "+
-			"is at most S + T_rap + Σ(l+k).")
-	res := runAll(
-		wrtring.Scenario{N: 12, L: 2, K: 2, Seed: *seed, Duration: *dur},
-		sat(wrtring.WRTRing, 12, wrtring.Opposite()))
-	idle, satur := res[0], res[1]
-	row3("load", "mean rotation (meas)", "Prop-3 bound", "holds")
-	row3("---", "---", "---", "---")
-	row3("idle", fmt.Sprintf("%.2f", idle.MeanRotation), fmt.Sprint(idle.MeanRotationBound),
-		fmt.Sprint(idle.MeanRotation <= float64(idle.MeanRotationBound)))
-	row3("saturated", fmt.Sprintf("%.2f", satur.MeanRotation), fmt.Sprint(satur.MeanRotationBound),
-		fmt.Sprint(satur.MeanRotation <= float64(satur.MeanRotationBound)))
-	p := analysis.Uniform(12, 2, 2, 0)
-	fmt.Println()
-	fmt.Printf("Theorem-2 bounds for this ring: n=2 → %d, n=4 → %d, n=8 → %d; the measured\n",
-		analysis.MultiRotationBound(p, 2), analysis.MultiRotationBound(p, 4), analysis.MultiRotationBound(p, 8))
-	fmt.Println("spans stay below them in every window (checked exhaustively by the bench).")
-	verdict(idle.MeanRotation <= float64(idle.MeanRotationBound) &&
-		satur.MeanRotation <= float64(satur.MeanRotationBound),
-		"mean and multi-rotation bounds hold idle and saturated",
-		"BenchmarkE6MultiRotationBound, BenchmarkE7MeanRotation")
-}
-
-func e8() {
-	hdr("E8", "Theorem 3 (network access bound)",
-		"a real-time packet finding x packets queued waits at most SAT_TIME[⌈(x+1)/l⌉+1].")
-	row3("l", "probes", "max x seen", "worst wait/bound", "violations")
-	row3("---", "---", "---", "---", "---")
-	quotas := []int{1, 2, 4}
-	var jobList []runner.Job
-	for _, l := range quotas {
-		jobList = append(jobList, runner.Job{
-			Name: fmt.Sprintf("l=%d", l),
-			Scenario: wrtring.Scenario{
-				N: 12, L: l, K: 2, Seed: *seed, Duration: *dur,
-				Sources: []wrtring.Source{
-					{Station: wrtring.AllStations, Kind: wrtring.OnOff, Class: wrtring.Premium,
-						Mean: 400, Burst: 6 * l, Dest: wrtring.Opposite(), Tagged: true},
-					{Station: wrtring.AllStations, Kind: wrtring.Poisson, Class: wrtring.BestEffort,
-						Mean: 50, Dest: wrtring.Uniform()},
-				},
-			},
-		})
-	}
-	ok := true
-	for i, r := range runJobs(jobList) {
-		worst, maxX, viol := 0.0, 0, 0
-		for _, pr := range r.Net.Ring.Tagged {
-			if pr.Wait > pr.Bound {
-				viol++
-			}
-			if rr := float64(pr.Wait) / float64(pr.Bound); rr > worst {
-				worst = rr
-			}
-			if pr.X > maxX {
-				maxX = pr.X
-			}
-		}
-		ok = ok && viol == 0
-		row3(fmt.Sprint(quotas[i]), fmt.Sprint(len(r.Net.Ring.Tagged)), fmt.Sprint(maxX),
-			fmt.Sprintf("%.3f", worst), fmt.Sprint(viol))
-	}
-	verdict(ok, "zero violations across tens of thousands of probes", "BenchmarkE8AccessDelayBound")
-}
-
-func e9() {
-	hdr("E9", "§2.3 / Figure 2 (Diffserv classes)",
-		"Premium (l quota) keeps full guarantees under overload; Assured (k1) has priority over "+
-			"best-effort (k2); neither disturbs Premium.")
-	res := runAll(
-		wrtring.Scenario{N: 10, L: 2, K: 4, Seed: *seed, Duration: *dur,
-			Sources: []wrtring.Source{
-				{Station: wrtring.AllStations, Kind: wrtring.CBR, Class: wrtring.Premium, Period: 60, Dest: wrtring.Opposite()},
-			}},
-		wrtring.Scenario{N: 10, L: 2, K: 4, Seed: *seed, Duration: *dur,
-			Sources: []wrtring.Source{
-				{Station: wrtring.AllStations, Kind: wrtring.CBR, Class: wrtring.Premium, Period: 60, Dest: wrtring.Opposite()},
-				{Station: wrtring.AllStations, Kind: wrtring.CBR, Class: wrtring.Assured, Period: 90, Dest: wrtring.Opposite()},
-				{Station: wrtring.AllStations, Class: wrtring.BestEffort, Dest: wrtring.Opposite(), Preload: int(*dur)},
-			}})
-	base, over := res[0], res[1]
-	row3("metric", "baseline", "under BE overload")
-	row3("---", "---", "---")
-	row3("premium delivered", fmt.Sprint(base.Delivered[wrtring.Premium]), fmt.Sprint(over.Delivered[wrtring.Premium]))
-	row3("premium mean delay", fmt.Sprintf("%.1f", base.MeanDelay[wrtring.Premium]), fmt.Sprintf("%.1f", over.MeanDelay[wrtring.Premium]))
-	row3("assured mean delay", "—", fmt.Sprintf("%.1f", over.MeanDelay[wrtring.Assured]))
-	row3("best-effort mean delay", "—", fmt.Sprintf("%.1f", over.MeanDelay[wrtring.BestEffort]))
-	ok := over.Delivered[wrtring.Premium] >= base.Delivered[wrtring.Premium]*99/100 &&
-		over.MeanDelay[wrtring.Assured] < over.MeanDelay[wrtring.BestEffort]
-	verdict(ok, "premium deliveries unaffected; assured stays far below best-effort delay", "BenchmarkE9DiffservClasses")
-}
-
-func e10() {
-	hdr("E10", "§2.4.1 / Figure 3 (joins during a QoS session)",
-		"new stations enter through the RAP — one per SAT round — without breaking the "+
-			"guarantees already given.")
-	var joiners []*core.Joiner
-	rs := runJobs([]runner.Job{{
-		Name: "joins",
-		Scenario: wrtring.Scenario{
-			N: 10, L: 2, K: 2, Seed: *seed, EnableRAP: true, Duration: 2 * *dur,
-			Sources: []wrtring.Source{{Station: wrtring.AllStations, Kind: wrtring.CBR,
-				Class: wrtring.Premium, Period: 60, Dest: wrtring.Opposite(), Tagged: true}},
-		},
-		Setup: func(net *wrtring.Network) error {
-			ring, med := net.Ring, net.Medium
-			net.Start()
-			for j := 0; j < 3; j++ {
-				a := med.PositionOf(ring.Station(core.StationID(2 * j)).Node)
-				b := med.PositionOf(ring.Station(core.StationID(2*j + 1)).Node)
-				mid := radio.Position{X: (a.X + b.X) / 2, Y: (a.Y + b.Y) / 2}
-				node := med.AddNode(mid, med.RangeOf(ring.Station(0).Node), nil)
-				joiners = append(joiners, ring.NewJoiner(core.StationID(100+j), node,
-					radio.Code(100+j), core.Quota{L: 1, K1: 1}))
-			}
-			return nil
-		},
-	}})
-	res, ring := rs[0].Res, rs[0].Net.Ring
-	joined, worst := 0, 0.0
-	var latSum, latN int64
-	for _, j := range joiners {
-		if j.Joined() {
-			joined++
-			latSum += j.JoinLatency()
-			latN++
-		}
-	}
-	for _, p := range ring.Tagged {
-		if r := float64(p.Wait) / float64(p.Bound); r > worst {
-			worst = r
-		}
-	}
-	row3("metric", "value")
-	row3("---", "---")
-	row3("joiners admitted", fmt.Sprintf("%d / 3", joined))
-	if latN > 0 {
-		row3("mean join latency (slots)", fmt.Sprint(latSum/latN))
-	}
-	row3("RAPs / joins", fmt.Sprintf("%d / %d", res.RAPs, res.Joins))
-	row3("worst Theorem-3 wait/bound during churn", fmt.Sprintf("%.3f", worst))
-	verdict(joined == 3 && worst <= 1, "all joins complete; no QoS bound violated during churn", "BenchmarkE10JoinDuringQoS")
-}
-
-func e11() {
-	hdr("E11", "§2.5 (recovery geometry / hidden terminals)",
-		"the splice works iff station i−1 can directly reach i+1; with hidden terminals the ring "+
-			"must be re-formed; without hidden terminals recovery cannot fail.")
-	row3("geometry", "splices", "re-formations", "heal (slots)")
-	row3("---", "---", "---", "---")
-	geoms := []struct {
-		name   string
-		chords float64
-		splice bool
-	}{{"dense (i−1 reaches i+1)", 2.5, true}, {"sparse (neighbours only)", 1.05, false}}
-	var jobList []runner.Job
-	for _, g := range geoms {
-		jobList = append(jobList, runner.Job{
-			Name: g.name,
-			Scenario: wrtring.Scenario{
-				N: 12, L: 2, K: 2, Seed: *seed, Duration: *dur, RangeChords: g.chords,
-			},
-			Setup: func(net *wrtring.Network) error {
-				net.Kernel.At(5_000, sim.PrioAdmin, func() { net.Ring.KillStation(6) })
-				return nil
-			},
-		})
-	}
-	ok := true
-	for i, r := range runJobs(jobList) {
-		res, g := r.Res, geoms[i]
-		row3(g.name, fmt.Sprint(res.Splices), fmt.Sprint(res.Reformations), fmt.Sprintf("%.0f", res.HealLatency))
-		if g.splice {
-			ok = ok && res.Splices > 0 && res.Reformations == 0
-		} else {
-			ok = ok && res.Reformations > 0
-		}
-	}
-	verdict(ok, "dense geometry always splices; neighbour-only geometry forces re-formation", "BenchmarkE11RecoveryGeometry")
-}
-
-func e12() {
-	hdr("E12", "§3.2 (capacity of concurrent access, via [13])",
-		"protocols where multiple stations access the network at the same time achieve higher "+
-			"capacity than token passing; spatial reuse helps local traffic most.")
-	row3("N", "ring opp", "tpt opp", "ratio", "ring nbr", "tpt nbr", "ratio")
-	row3("---", "---", "---", "---", "---", "---", "---")
-	sizes := []int{8, 16, 32}
-	var grid []wrtring.Scenario
-	for _, n := range sizes {
-		grid = append(grid,
-			sat(wrtring.WRTRing, n, wrtring.Opposite()), sat(wrtring.TPT, n, wrtring.Opposite()),
-			sat(wrtring.WRTRing, n, wrtring.Offset(1)), sat(wrtring.TPT, n, wrtring.Offset(1)))
-	}
-	res := runAll(grid...)
-	ok := true
-	for i, n := range sizes {
-		rOpp, tOpp := res[4*i].Throughput, res[4*i+1].Throughput
-		rNbr, tNbr := res[4*i+2].Throughput, res[4*i+3].Throughput
-		row3(fmt.Sprint(n),
-			fmt.Sprintf("%.3f", rOpp), fmt.Sprintf("%.3f", tOpp), fmt.Sprintf("%.1f×", rOpp/tOpp),
-			fmt.Sprintf("%.3f", rNbr), fmt.Sprintf("%.3f", tNbr), fmt.Sprintf("%.1f×", rNbr/tNbr))
-		ok = ok && rOpp > tOpp && rNbr > tNbr
-	}
-	verdict(ok, "WRT-Ring wins at every size; the gap grows with N (TPT serialises the whole network)", "BenchmarkE12Capacity")
-}
-
-func e13() {
-	hdr("E13", "§2.2 (service integration and fairness)",
-		"real-time traffic has priority inside a station; no station exceeds l+k transmissions "+
-			"per SAT round; unused authorisations expire.")
-	rs := runJobs([]runner.Job{{Name: "integration", Scenario: sat(wrtring.WRTRing, 10, wrtring.Opposite())}})
-	res, net := rs[0].Res, rs[0].Net
-	var worstPerRound float64
-	for _, st := range net.Ring.Stations() {
-		sent := float64(st.Metrics.Sent[wrtring.Premium] + st.Metrics.Sent[wrtring.Assured] + st.Metrics.Sent[wrtring.BestEffort])
-		if v := sent / float64(res.Rounds); v > worstPerRound {
-			worstPerRound = v
-		}
-	}
-	row3("metric", "value", "limit")
-	row3("---", "---", "---")
-	row3("worst packets/round at any station", fmt.Sprintf("%.2f", worstPerRound), "l+k = 4")
-	row3("premium mean wait (station 0)", fmt.Sprintf("%.1f", net.Ring.Station(0).Metrics.Wait[wrtring.Premium].Mean()), "—")
-	verdict(worstPerRound <= 4.1, "per-round quota respected at every station; premium served first", "BenchmarkE13Integration")
-}
-
-func e14() {
-	hdr("E14", "Footnote 1 / §2.6 (FDDI-style bandwidth allocation)",
-		"the timed-token allocation schemes apply to WRT-Ring through its worst-case properties; "+
-			"admitted deadline sets are met.")
-	row3("scheme", "Σ(l+k)", "feasible", "deadline misses (measured)")
-	row3("---", "---", "---", "---")
-	schemes := []bwalloc.Scheme{bwalloc.MinimalFeasible, bwalloc.EqualPartition, bwalloc.Proportional}
-	allocs := make([]bwalloc.Result, len(schemes))
-	var jobList []runner.Job
-	for i, scheme := range schemes {
-		in := bwalloc.Input{
-			N: 8, S: 8, K: []int{1, 1, 1, 1, 1, 1, 1, 1},
-			Streams: []bwalloc.Stream{
-				{Station: 0, Period: 40, Deadline: 1200},
-				{Station: 2, Period: 60, Deadline: 1500},
-				{Station: 5, Period: 100, Deadline: 2500},
-			},
-			MaxL: 16,
-		}
-		alloc, err := bwalloc.Allocate(scheme, in)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		allocs[i] = alloc
-		quotas := make([]wrtring.Quota, in.N)
-		var sources []wrtring.Source
-		for st := 0; st < in.N; st++ {
-			quotas[st] = wrtring.Quota{L: alloc.L[st], K1: in.K[st]}
-		}
-		for _, stream := range in.Streams {
-			sources = append(sources, wrtring.Source{Station: stream.Station, Kind: wrtring.CBR,
-				Class: wrtring.Premium, Period: stream.Period, Deadline: stream.Deadline,
-				Dest: wrtring.Opposite()})
-		}
-		jobList = append(jobList, runner.Job{
-			Name: scheme.String(),
-			Scenario: wrtring.Scenario{N: in.N, Quotas: quotas, Seed: *seed,
-				Duration: *dur, Sources: sources},
-		})
-	}
-	ok := true
-	for i, r := range runJobs(jobList) {
-		var missed int64
-		for _, st := range r.Net.Ring.Stations() {
-			missed += st.Metrics.Deadlines.Missed
-		}
-		ok = ok && allocs[i].Feasible && missed == 0
-		row3(schemes[i].String(), fmt.Sprint(allocs[i].SumLK), fmt.Sprint(allocs[i].Feasible), fmt.Sprint(missed))
-	}
-	verdict(ok, "every admitted stream meets its deadline under all three schemes", "BenchmarkE14Allocation")
-}
-
-func e15() {
-	hdr("E15", "§1 (motivation: contention MACs)",
-		"802.11-style protocols do not provide timing guarantees — the handshake suffers "+
-			"collisions, and \"packet collision may occur frequently by increasing the number "+
-			"of mobile stations\". Same periodic load, contention cell vs WRT-Ring.")
-	row3("N", "csma collision rate", "csma max delay", "ring max delay", "ring Thm-1 bound")
-	row3("---", "---", "---", "---", "---")
-	sizes := []int{8, 16, 24}
-	var grid []wrtring.Scenario
-	for _, n := range sizes {
-		grid = append(grid, wrtring.Scenario{
-			N: n, L: 2, K: 2, Seed: *seed, Duration: *dur,
-			Sources: []wrtring.Source{{Station: wrtring.AllStations, Kind: wrtring.CBR,
-				Class: wrtring.Premium, Period: 30, Dest: wrtring.Opposite()}},
-		})
-	}
-	rings := runAll(grid...)
-	ok := true
-	prevColl := -1.0
-	for i, n := range sizes {
-		// The CSMA baseline drives the csma package directly (it is not a
-		// wrtring.Scenario), so it runs inline.
-		coll, maxDelay := contentionCell(n, 30, *dur, *seed)
-		ring := rings[i]
-		row3(fmt.Sprint(n), fmt.Sprintf("%.2f", coll), fmt.Sprintf("%.0f", maxDelay),
-			fmt.Sprintf("%.0f", ring.MaxDelay[wrtring.Premium]), fmt.Sprint(ring.RotationBound))
-		if coll <= prevColl || (n >= 16 && maxDelay <= ring.MaxDelay[wrtring.Premium]) {
-			ok = false
-		}
-		prevColl = coll
-	}
-	verdict(ok, "collision rate grows with N and the contention delay tail explodes, while the ring stays bounded",
-		"BenchmarkE15ContentionBaseline")
-}
-
-// contentionCell runs the CSMA baseline under the CBR load and returns
-// (collisions per transmission, max delay).
-func contentionCell(n int, period, dur int64, seed uint64) (collRate, maxDelay float64) {
-	kern := sim.NewKernel()
-	rng := sim.NewRNG(seed)
-	med := radio.NewMedium(kern, rng.Split())
-	pos := topology.Circle(n, 20)
-	members := make([]csma.Member, n)
-	for i := 0; i < n; i++ {
-		node := med.AddNode(pos[i], 1000, nil)
-		members[i] = csma.Member{ID: core.StationID(i), Node: node}
-	}
-	net, err := csma.New(kern, med, rng.Split(), csma.Params{}, members)
-	if err != nil {
+	if err := experiments.Report(os.Stdout, experiments.Params{Seed: *seed, Dur: *dur, Jobs: *jobs}); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	net.Start()
-	for i := 0; i < n; i++ {
-		i := i
-		st := net.Station(core.StationID(i))
-		seq := int64(0)
-		var pump func()
-		pump = func() {
-			if kern.Now() >= sim.Time(dur) {
-				return
-			}
-			seq++
-			st.Enqueue(core.Packet{Dst: core.StationID((i + n/2) % n), Seq: seq})
-			kern.After(sim.Time(period), sim.PrioTraffic, pump)
-		}
-		kern.At(sim.Time(1+i), sim.PrioTraffic, pump)
-	}
-	kern.Run(sim.Time(dur))
-	var sent int64
-	for i := 0; i < n; i++ {
-		sent += net.Station(core.StationID(i)).Metrics.Sent
-	}
-	if sent == 0 {
-		return 0, 0
-	}
-	return float64(net.Metrics.Collisions) / float64(sent), net.Metrics.Delay.Max()
-}
-
-// e16 is the churn/loss robustness family: the §2.5 recovery machinery and
-// the §2.4 membership protocols under a deterministic Gilbert–Elliott loss
-// channel, a crash-and-restart schedule and Poisson join/leave churn, with
-// the always-on invariant checker as the referee.
-func e16() {
-	hdr("E16", "§2.4/§2.5 under sustained loss and churn (fault-injection family)",
-		"the protocol \"is also able to manage the insertion and the extraction of stations "+
-			"from the ring, and to tolerate both station failures and signal losses\" — i.e. the "+
-			"recovery machinery heals the ring under sustained frame loss, crashes and churn, "+
-			"never leaving zero or multiple SATs circulating or phantom members behind.")
-	fmt.Println("Channel: per-link Gilbert–Elliott chains. \"uniform\" is the memoryless " +
-		"degenerate chain (`Uniform(p)`: LossGood = LossBad = p); \"bursty(50)\" is " +
-		"`Burst(p, 50)` — mean burst 50 slots, LossBad = min(1, 10·p), LossGood = p/10, " +
-		"transition probabilities solved so the stationary loss rate is p. Each cell also " +
-		"runs a crash-and-restart at dur/4 and Poisson join/leave churn from dur/10 on. " +
-		"After the lossy run the channel is cleared and a 5000-slot heal tail runs; " +
-		"N(healed) and the invariant verdicts are taken at its end.")
-	fmt.Println()
-	row3("loss", "channel", "dropped", "detections", "splices", "reforms", "N(healed)", "violations")
-	row3("---", "---", "---", "---", "---", "---", "---", "---")
-	base := wrtring.Scenario{
-		N: 8, L: 2, K: 2, Seed: *seed, Duration: *dur,
-		RangeChords: 8,
-		EnableRAP:   true, TEar: 12, TUpdate: 4, AutoRejoin: true,
-		Sources: []wrtring.Source{{Station: wrtring.AllStations, Kind: wrtring.CBR,
-			Class: wrtring.Premium, Period: 40, Dest: wrtring.Opposite()}},
-	}
-	type cell struct {
-		name  string
-		burst int64
-	}
-	var jobList []runner.Job
-	var labels [][2]string
-	for _, shape := range []cell{{"uniform", 0}, {"bursty(50)", 50}} {
-		for _, p := range []float64{0.001, 0.01, 0.05} {
-			s := base
-			s.Fault = &wrtring.FaultSpec{
-				Loss:      &wrtring.LossSpec{Mean: p, BurstLen: shape.burst},
-				Crashes:   []wrtring.CrashOp{{At: *dur / 4, Station: 3, For: *dur / 10}},
-				JoinEvery: float64(*dur) / 8, LeaveEvery: float64(*dur) / 6,
-				ChurnStart: *dur / 10,
-			}
-			name := fmt.Sprintf("%.1f%%/%s", p*100, shape.name)
-			jobList = append(jobList, runner.Job{Name: name, Scenario: s})
-			labels = append(labels, [2]string{fmt.Sprintf("%.1f%%", p*100), shape.name})
-		}
-	}
-	ok := true
-	for i, r := range runJobs(jobList) {
-		lossy := r.Res
-		// The cut instant can land mid-heal under sustained loss; clear the
-		// channel and let the ring finish healing before judging membership
-		// (the invariant counter keeps accumulating across the tail).
-		r.Net.Medium.FaultFn = nil
-		healed := r.Net.RunFor(5000)
-		ok = ok && !healed.Dead && healed.InvariantViolations == 0 &&
-			healed.N >= 3 && lossy.Detections > 0
-		row3(labels[i][0], labels[i][1], fmt.Sprint(lossy.FaultDropped), fmt.Sprint(lossy.Detections),
-			fmt.Sprint(lossy.Splices), fmt.Sprint(lossy.Reformations), fmt.Sprint(healed.N),
-			fmt.Sprint(healed.InvariantViolations))
-	}
-	verdict(ok, "every faulted run survives with zero invariant violations — exactly one SAT "+
-		"circulates after each heal and the order never holds phantom members", "TestFaultAcceptanceGrid")
-}
-
-func verdict(ok bool, note, bench string) {
-	mark := "REPRODUCED"
-	if !ok {
-		mark = "NOT REPRODUCED"
-	}
-	fmt.Println()
-	fmt.Printf("**Verdict: %s** — %s. *(bench: `%s`)*\n\n", mark, note, bench)
 }

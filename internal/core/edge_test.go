@@ -66,7 +66,7 @@ func TestNewRejectsUnconnectedNeighbours(t *testing.T) {
 }
 
 func TestParamsValidation(t *testing.T) {
-	p := Params{Quotas: UniformQuotas(4, 1, 1), EnableRAP: true, TEar: 4, TUpdate: 1}
+	p := Params{Quotas: AppendUniformQuotas(nil, 4, 1, 1), EnableRAP: true, TEar: 4, TUpdate: 1}
 	if p.Validate(4) == nil {
 		t.Fatal("too-short TEar accepted")
 	}

@@ -153,14 +153,9 @@ func (p *Params) Validate(n int) error {
 	return nil
 }
 
-// UniformQuotas builds n identical quotas with the given l and k split
-// evenly favouring Assured (k1 = ceil(k/2)).
-func UniformQuotas(n, l, k int) []Quota {
-	return AppendUniformQuotas(nil, n, l, k)
-}
-
-// AppendUniformQuotas appends UniformQuotas(n, l, k) onto dst, reusing its
-// capacity (the arena build path's variant).
+// AppendUniformQuotas appends n identical quotas with the given l and k
+// split evenly favouring Assured (k1 = ceil(k/2)) onto dst, reusing its
+// capacity.
 func AppendUniformQuotas(dst []Quota, n, l, k int) []Quota {
 	q := Quota{L: l, K1: (k + 1) / 2, K2: k / 2}
 	for i := 0; i < n; i++ {

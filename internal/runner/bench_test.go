@@ -10,20 +10,20 @@ import (
 )
 
 // TestReuseArenasMatchesFresh is the runner-level half of the arena reuse
-// contract (wrtring's arena tests pin the trace bytes): a grid run with
-// ReuseArenas must serialise byte-identically to the default fresh-build
-// path, serial and parallel alike, with Result.Net withheld.
+// contract (wrtring's arena tests pin the trace bytes): a grid run with a
+// Pool must serialise byte-identically to the default fresh-build path,
+// serial and parallel alike, with Result.Net withheld.
 func TestReuseArenasMatchesFresh(t *testing.T) {
 	fresh := marshal(t, Run(grid(), Options{Jobs: 1}))
 	for _, jobs := range []int{1, 4} {
-		results := Run(grid(), Options{Jobs: jobs, ReuseArenas: true})
+		results := Run(grid(), Options{Jobs: jobs, Pool: &Pool{}})
 		for i, r := range results {
 			if r.Net != nil {
-				t.Fatalf("jobs=%d result %d: Net must be nil under ReuseArenas", jobs, i)
+				t.Fatalf("jobs=%d result %d: Net must be nil under a Pool", jobs, i)
 			}
 		}
 		if got := marshal(t, results); string(got) != string(fresh) {
-			t.Fatalf("jobs=%d: ReuseArenas output diverged from fresh builds", jobs)
+			t.Fatalf("jobs=%d: pooled output diverged from fresh builds", jobs)
 		}
 	}
 	// A Pool carries dirty arenas across batches; every batch must still

@@ -42,8 +42,8 @@ type Result struct {
 	Index int
 	// Net is the built network, kept so callers can inspect protocol state
 	// (tagged probes, per-station metrics, joiners) after the run. Nil when
-	// Err is a build error, and always nil under Options.ReuseArenas (the
-	// network is recycled for the worker's next job).
+	// Err is a build error, and always nil under Options.Pool (the network
+	// is recycled for the worker's next job).
 	Net     *wrtring.Network
 	Res     *wrtring.Result
 	Err     error
@@ -60,21 +60,19 @@ type Options struct {
 	// goroutine that ran it, serialised by an internal lock) with the
 	// completion count so far.
 	OnProgress func(done, total int, r Result)
-	// ReuseArenas gives each worker goroutine one long-lived
-	// wrtring.Arena reused across its job stream, eliminating the
-	// per-job network construction cost that dominates small-scenario
-	// grids. Results are byte-identical to fresh builds (the arena reuse
+	// Pool, when non-nil, gives each worker goroutine one wrtring.Arena
+	// reused across its job stream and carried across batches: workers
+	// check arenas out at batch start and return them when the batch
+	// drains, so a caller issuing many consecutive Run calls (a sweep
+	// driver, a benchmark harness) reaches the same warmed steady state as
+	// the serve queue's long-lived workers instead of paying the per-job
+	// network construction cost that dominates small-scenario grids.
+	// Results are byte-identical to fresh builds (the arena reuse
 	// contract); the one observable difference is that Result.Net is nil —
 	// a reused network is invalidated by the worker's next job, so it must
-	// not escape the run. Use the default (false) when post-run protocol
-	// state inspection through Result.Net is needed.
-	ReuseArenas bool
-	// Pool, when non-nil, implies ReuseArenas and additionally carries the
-	// worker arenas across batches: workers check arenas out at batch start
-	// and return them when the batch drains, so a caller issuing many
-	// consecutive Run calls (a sweep driver, a benchmark harness) reaches
-	// the same warmed steady state as the serve queue's long-lived workers
-	// instead of paying first-build growth once per batch.
+	// not escape the run. Leave Pool nil when post-run protocol state
+	// inspection through Result.Net is needed: each job then builds into a
+	// fresh arena.
 	Pool *Pool
 }
 
@@ -153,15 +151,12 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []Result {
 		mu.Unlock()
 	}
 
-	reuse := opts.ReuseArenas || opts.Pool != nil
+	// A nil arena makes runOne build each job into a fresh one.
 	takeArena := func() *wrtring.Arena {
-		if !reuse {
-			return nil
-		}
 		if opts.Pool != nil {
 			return opts.Pool.Get()
 		}
-		return wrtring.NewArena()
+		return nil
 	}
 	releaseArena := func(a *wrtring.Arena) {
 		if opts.Pool != nil {
@@ -215,7 +210,7 @@ func RunScenarios(scenarios []wrtring.Scenario, opts Options) []Result {
 // fresh, matching Run with default options). Callers that own their worker
 // loop — the serve job queue pulls jobs one at a time off a channel — use it
 // to get per-worker arena reuse across independent invocations; see
-// Options.ReuseArenas for the contract (Result.Net is nil when an arena is
+// Options.Pool for the contract (Result.Net is nil when an arena is
 // supplied).
 func RunJob(ctx context.Context, job Job, arena *wrtring.Arena) Result {
 	if ctx == nil {
@@ -242,18 +237,18 @@ func runOne(ctx context.Context, job Job, index int, arena *wrtring.Arena) (r Re
 		r.Err = err
 		return r
 	}
-	var net *wrtring.Network
-	var err error
-	if arena != nil {
-		net, err = arena.Build(job.Scenario)
-	} else {
-		net, err = wrtring.Build(job.Scenario)
+	// A network built into a fresh arena is the caller's to keep; one built
+	// into a long-lived arena is recycled by the next job.
+	fresh := arena == nil
+	if fresh {
+		arena = wrtring.NewArena()
 	}
+	net, err := arena.Build(job.Scenario)
 	if err != nil {
 		r.Err = err
 		return r
 	}
-	if arena == nil {
+	if fresh {
 		r.Net = net
 	}
 	if job.Setup != nil {

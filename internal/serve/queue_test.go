@@ -210,11 +210,14 @@ func TestQueueDrainCompletesFastJobs(t *testing.T) {
 		}
 	}
 	report := q.Drain(time.Minute)
-	if report.DeadlineExceeded || report.Dropped != 0 || report.Completed != 4 {
+	// DrainReport counts only jobs that finish inside the drain window, and
+	// a fast job may finish before Drain starts, so completion is read from
+	// the queue's lifetime counters once the drain has returned.
+	if report.DeadlineExceeded || report.Dropped != 0 {
 		t.Fatalf("report %+v", report)
 	}
 	qs := q.Stats()
-	if qs.Admitted != 4 || qs.Completed != 4 || qs.Dropped != 0 {
+	if qs.Admitted != 4 || qs.Completed != 4 || qs.Failed != 0 || qs.Dropped != 0 {
 		t.Fatalf("stats %+v", qs)
 	}
 }

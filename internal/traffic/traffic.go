@@ -113,7 +113,7 @@ type Generator struct {
 	seq     int64
 	stopped bool
 
-	// stepFn is g.step bound once at Attach; passing the method value
+	// stepFn is g.step bound once at AttachInto; passing the method value
 	// directly to After would allocate a fresh closure per arrival.
 	stepFn func()
 }
@@ -141,16 +141,12 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Attach starts a generator for the spec against the target. It panics on
-// an invalid spec (programmer error in scenario construction).
-func Attach(k *sim.Kernel, rng *sim.RNG, target Target, spec Spec) *Generator {
-	return AttachInto(new(Generator), k, rng, target, spec)
-}
-
-// AttachInto is Attach into a caller-provided Generator struct, for arena
-// reuse paths that recycle generators across scenarios. The previous
-// incarnation of g must no longer be running (its events recycled by a
-// kernel reset); its stepFn binding is kept, since it captures g itself.
+// AttachInto starts a generator for the spec against the target, in a
+// caller-provided Generator struct so arena builds can recycle generators
+// across scenarios. The previous incarnation of g must no longer be running
+// (its events recycled by a kernel reset); its stepFn binding is kept,
+// since it captures g itself. It panics on an invalid spec (programmer
+// error in scenario construction).
 func AttachInto(g *Generator, k *sim.Kernel, rng *sim.RNG, target Target, spec Spec) *Generator {
 	if err := spec.Validate(); err != nil {
 		panic(err)

@@ -18,7 +18,7 @@ func TestCBRCadence(t *testing.T) {
 	k := sim.NewKernel()
 	rng := sim.NewRNG(1)
 	s := &sink{}
-	g := Attach(k, rng, s, Spec{Kind: CBR, Class: core.Premium, Period: 10,
+	g := AttachInto(new(Generator), k, rng, s, Spec{Kind: CBR, Class: core.Premium, Period: 10,
 		Dest: FixedDest(3), Start: 5})
 	k.Run(100)
 	// Emissions at 5, 15, ..., 95: 10 packets.
@@ -35,7 +35,7 @@ func TestCBRCadence(t *testing.T) {
 func TestStopBoundary(t *testing.T) {
 	k := sim.NewKernel()
 	s := &sink{}
-	Attach(k, sim.NewRNG(1), s, Spec{Kind: CBR, Period: 10, Dest: FixedDest(0), Stop: 35})
+	AttachInto(new(Generator), k, sim.NewRNG(1), s, Spec{Kind: CBR, Period: 10, Dest: FixedDest(0), Stop: 35})
 	k.Run(200)
 	if len(s.pkts) != 4 { // t = 0, 10, 20, 30
 		t.Fatalf("emitted %d, want 4", len(s.pkts))
@@ -45,7 +45,7 @@ func TestStopBoundary(t *testing.T) {
 func TestGeneratorStop(t *testing.T) {
 	k := sim.NewKernel()
 	s := &sink{}
-	g := Attach(k, sim.NewRNG(1), s, Spec{Kind: CBR, Period: 5, Dest: FixedDest(0)})
+	g := AttachInto(new(Generator), k, sim.NewRNG(1), s, Spec{Kind: CBR, Period: 5, Dest: FixedDest(0)})
 	k.Run(22)
 	g.Stop()
 	n := len(s.pkts)
@@ -58,7 +58,7 @@ func TestGeneratorStop(t *testing.T) {
 func TestPoissonMeanRate(t *testing.T) {
 	k := sim.NewKernel()
 	s := &sink{}
-	Attach(k, sim.NewRNG(2), s, Spec{Kind: Poisson, Mean: 20, Dest: FixedDest(0)})
+	AttachInto(new(Generator), k, sim.NewRNG(2), s, Spec{Kind: Poisson, Mean: 20, Dest: FixedDest(0)})
 	k.Run(200_000)
 	rate := float64(len(s.pkts)) / 200_000
 	if rate < 0.04 || rate > 0.06 {
@@ -69,7 +69,7 @@ func TestPoissonMeanRate(t *testing.T) {
 func TestOnOffBursts(t *testing.T) {
 	k := sim.NewKernel()
 	s := &sink{}
-	Attach(k, sim.NewRNG(3), s, Spec{Kind: OnOff, Mean: 100, Burst: 7, Dest: FixedDest(0)})
+	AttachInto(new(Generator), k, sim.NewRNG(3), s, Spec{Kind: OnOff, Mean: 100, Burst: 7, Dest: FixedDest(0)})
 	k.Run(10_000)
 	if len(s.pkts) == 0 || len(s.pkts)%7 != 0 {
 		t.Fatalf("onoff emitted %d, want multiple of 7", len(s.pkts))
@@ -79,7 +79,7 @@ func TestOnOffBursts(t *testing.T) {
 func TestVBRFrameSizes(t *testing.T) {
 	k := sim.NewKernel()
 	s := &sink{}
-	Attach(k, sim.NewRNG(4), s, Spec{Kind: VBR, Period: 100, Burst: 5, Dest: FixedDest(0)})
+	AttachInto(new(Generator), k, sim.NewRNG(4), s, Spec{Kind: VBR, Period: 100, Burst: 5, Dest: FixedDest(0)})
 	k.Run(10_000)
 	if len(s.pkts) < 100 || len(s.pkts) > 500 {
 		t.Fatalf("vbr emitted %d over 100 frames", len(s.pkts))
@@ -89,7 +89,7 @@ func TestVBRFrameSizes(t *testing.T) {
 func TestDeadlineAndTagPropagate(t *testing.T) {
 	k := sim.NewKernel()
 	s := &sink{}
-	Attach(k, sim.NewRNG(5), s, Spec{Kind: CBR, Period: 10, Deadline: 99,
+	AttachInto(new(Generator), k, sim.NewRNG(5), s, Spec{Kind: CBR, Period: 10, Deadline: 99,
 		Tagged: true, Dest: FixedDest(2)})
 	k.Run(50)
 	for _, p := range s.pkts {
@@ -156,7 +156,7 @@ func TestEmissionCountsDeterministicProperty(t *testing.T) {
 		run := func() []core.Packet {
 			k := sim.NewKernel()
 			s := &sink{}
-			Attach(k, sim.NewRNG(uint64(seed)), s, Spec{
+			AttachInto(new(Generator), k, sim.NewRNG(uint64(seed)), s, Spec{
 				Kind: Poisson, Mean: float64(mean%50) + 2, Dest: FixedDest(0)})
 			k.Run(5000)
 			return s.pkts

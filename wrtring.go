@@ -303,53 +303,38 @@ type Network struct {
 }
 
 // Build constructs the radio substrate, the protocol instance, and the
-// traffic sources of a scenario without running it.
+// traffic sources of a scenario without running it. It is a build into a
+// fresh Arena.
 func Build(s Scenario) (*Network, error) {
-	return buildInto(nil, s)
+	return NewArena().Build(s)
 }
 
-// buildInto is the shared scenario constructor. With a nil arena it builds
-// everything fresh (the Build path, byte-for-byte the historical behaviour);
-// with an arena it resets and reuses the arena's kernel, medium, protocol
-// carcass and trace recorder instead of reallocating them. Both paths draw
-// from the seed's RNG in the identical split order, so a reused build is
-// observably indistinguishable from a fresh one.
-func buildInto(a *Arena, s Scenario) (*Network, error) {
+// Build constructs the scenario into the arena, resetting and reusing the
+// previous build's kernel, medium, protocol carcass, trace recorder and
+// working storage (a fresh arena allocates them). The seed generator and
+// the component generators split from it live in the arena's scratch,
+// reseeded in place, so every build draws from the seed's RNG in the
+// identical split order and a reused build is observably
+// indistinguishable from a fresh one. See the Arena doc for the reuse
+// contract.
+func (a *Arena) Build(s Scenario) (*Network, error) {
 	sc := s.withDefaults()
 	if sc.N < 3 {
 		return nil, errors.New("wrtring: scenario needs N >= 3")
 	}
-	// With an arena the seed generator and the component generators split
-	// from it live in the arena's scratch (reseeded in place); the RNG
-	// stream consumed is identical to the fresh path's, draw for draw.
-	var rng *sim.RNG
-	if a != nil {
-		a.scratch.genUsed = 0
-		rng = &a.scratch.rng
-		rng.Reseed(sc.Seed)
+	a.scratch.genUsed = 0
+	rng := &a.scratch.rng
+	rng.Reseed(sc.Seed)
+	rng.SplitInto(&a.scratch.medRNG)
+	medRNG := &a.scratch.medRNG
+	if a.kernel != nil {
+		a.kernel.Reset()
+		a.medium.Reset(medRNG)
 	} else {
-		rng = sim.NewRNG(sc.Seed)
+		a.kernel = sim.NewKernel()
+		a.medium = radio.NewMedium(a.kernel, medRNG)
 	}
-	var medRNG *sim.RNG
-	if a != nil {
-		rng.SplitInto(&a.scratch.medRNG)
-		medRNG = &a.scratch.medRNG
-	} else {
-		medRNG = rng.Split()
-	}
-	var kern *sim.Kernel
-	var med *radio.Medium
-	if a != nil && a.kernel != nil {
-		kern, med = a.kernel, a.medium
-		kern.Reset()
-		med.Reset(medRNG)
-	} else {
-		kern = sim.NewKernel()
-		med = radio.NewMedium(kern, medRNG)
-		if a != nil {
-			a.kernel, a.medium = kern, med
-		}
-	}
+	kern, med := a.kernel, a.medium
 	med.LossProb = sc.LossProb
 	if sc.ControlLossProb > 0 {
 		med.ControlLossProb = sc.ControlLossProb
@@ -381,46 +366,28 @@ func buildInto(a *Arena, s Scenario) (*Network, error) {
 		pos = topology.RandomArea(sc.N, sc.Area, sc.Area, rng.Split())
 		txRange = sc.Range
 	default:
-		if a != nil {
-			pos = topology.AppendCircle(a.scratch.pos[:0], sc.N, 50)
-			a.scratch.pos = pos
-		} else {
-			pos = topology.Circle(sc.N, 50)
-		}
+		pos = topology.AppendCircle(a.scratch.pos[:0], sc.N, 50)
+		a.scratch.pos = pos
 		txRange = topology.ChordLen(sc.N, 50) * sc.RangeChords
 	}
 
-	var net *Network
-	if a != nil {
-		net = &a.scratch.net
-		*net = Network{Scenario: sc, Kernel: kern, Medium: med, RNG: rng, Positions: pos}
-		net.Generators = a.scratch.genList[:0]
-	} else {
-		net = &Network{Scenario: sc, Kernel: kern, Medium: med, RNG: rng, Positions: pos}
-	}
+	net := &a.scratch.net
+	*net = Network{Scenario: sc, Kernel: kern, Medium: med, RNG: rng, Positions: pos,
+		Generators: a.scratch.genList[:0]}
 
 	quotas := sc.Quotas
 	if quotas == nil {
-		if a != nil {
-			quotas = core.AppendUniformQuotas(a.scratch.quotas[:0], sc.N, sc.L, sc.K)
-			a.scratch.quotas = quotas
-		} else {
-			quotas = core.UniformQuotas(sc.N, sc.L, sc.K)
-		}
+		quotas = core.AppendUniformQuotas(a.scratch.quotas[:0], sc.N, sc.L, sc.K)
+		a.scratch.quotas = quotas
 	}
 	if len(quotas) != sc.N {
 		return nil, fmt.Errorf("wrtring: %d quotas for %d stations", len(quotas), sc.N)
 	}
 
-	var nodes []radio.NodeID
-	if a != nil {
-		if cap(a.scratch.nodes) < sc.N {
-			a.scratch.nodes = make([]radio.NodeID, sc.N)
-		}
-		nodes = a.scratch.nodes[:sc.N]
-	} else {
-		nodes = make([]radio.NodeID, sc.N)
+	if cap(a.scratch.nodes) < sc.N {
+		a.scratch.nodes = make([]radio.NodeID, sc.N)
 	}
+	nodes := a.scratch.nodes[:sc.N]
 	for i := range pos {
 		nodes[i] = med.AddNode(pos[i], txRange, nil)
 	}
@@ -432,15 +399,10 @@ func buildInto(a *Arena, s Scenario) (*Network, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wrtring: %w", err)
 		}
-		var members []core.Member
-		if a != nil {
-			if cap(a.scratch.members) < sc.N {
-				a.scratch.members = make([]core.Member, sc.N)
-			}
-			members = a.scratch.members[:sc.N]
-		} else {
-			members = make([]core.Member, sc.N)
+		if cap(a.scratch.members) < sc.N {
+			a.scratch.members = make([]core.Member, sc.N)
 		}
+		members := a.scratch.members[:sc.N]
 		for oi, i := range order {
 			code := radio.Code(i + 1)
 			if sc.DisableCDMA {
@@ -460,34 +422,20 @@ func buildInto(a *Arena, s Scenario) (*Network, error) {
 			AdmitMaxStations: sc.AdmitMaxStations, AdmitMaxSumLK: sc.AdmitMaxSumLK,
 			DisableRecovery: sc.DisableRecovery, DisableSplice: sc.DisableSplice,
 		}
-		var prev *core.Ring
-		var prng *sim.RNG
-		if a != nil {
-			prev = a.ring
-			a.ring = nil // consumed even if the rebuild errors out
-			rng.SplitInto(&a.scratch.protoRNG)
-			prng = &a.scratch.protoRNG
-		} else {
-			prng = rng.Split()
-		}
-		ring, err := core.Rebuild(prev, kern, med, prng, params, members)
+		prev := a.ring
+		a.ring = nil // consumed even if the rebuild errors out
+		rng.SplitInto(&a.scratch.protoRNG)
+		ring, err := core.Rebuild(prev, kern, med, &a.scratch.protoRNG, params, members)
 		if err != nil {
 			return nil, err
 		}
-		if a != nil {
-			a.ring = ring
-		}
+		a.ring = ring
 		net.Ring = ring
 	case TPT:
-		var members []tpt.Member
-		if a != nil {
-			if cap(a.scratch.tptMembers) < sc.N {
-				a.scratch.tptMembers = make([]tpt.Member, sc.N)
-			}
-			members = a.scratch.tptMembers[:sc.N]
-		} else {
-			members = make([]tpt.Member, sc.N)
+		if cap(a.scratch.tptMembers) < sc.N {
+			a.scratch.tptMembers = make([]tpt.Member, sc.N)
 		}
+		members := a.scratch.tptMembers[:sc.N]
 		for i := range members {
 			members[i] = tpt.Member{ID: core.StationID(i), Node: nodes[i], H: sc.H}
 		}
@@ -496,23 +444,14 @@ func buildInto(a *Arena, s Scenario) (*Network, error) {
 			EnableRAP: sc.EnableRAP, AdmitMaxStations: sc.AdmitMaxStations,
 			DisableRecovery: sc.DisableRecovery,
 		}
-		var prev *tpt.Network
-		var prng *sim.RNG
-		if a != nil {
-			prev = a.tree
-			a.tree = nil
-			rng.SplitInto(&a.scratch.protoRNG)
-			prng = &a.scratch.protoRNG
-		} else {
-			prng = rng.Split()
-		}
-		tree, err := tpt.Rebuild(prev, kern, med, prng, params, members)
+		prev := a.tree
+		a.tree = nil
+		rng.SplitInto(&a.scratch.protoRNG)
+		tree, err := tpt.Rebuild(prev, kern, med, &a.scratch.protoRNG, params, members)
 		if err != nil {
 			return nil, err
 		}
-		if a != nil {
-			a.tree = tree
-		}
+		a.tree = tree
 		net.Tree = tree
 	default:
 		return nil, fmt.Errorf("wrtring: unknown protocol %d", sc.Protocol)
@@ -523,15 +462,12 @@ func buildInto(a *Arena, s Scenario) (*Network, error) {
 		if capacity == 0 {
 			capacity = 4096
 		}
-		if a != nil && a.journal != nil && a.journal.Cap() == capacity {
+		if a.journal != nil && a.journal.Cap() == capacity {
 			a.journal.Reset()
-			net.journal = a.journal
 		} else {
-			net.journal = trace.NewRecorder(capacity)
-			if a != nil {
-				a.journal = net.journal
-			}
+			a.journal = trace.NewRecorder(capacity)
 		}
+		net.journal = a.journal
 		net.Ring.Journal = net.journal
 	}
 	if err := net.applyChurn(sc.Churn); err != nil {
@@ -548,9 +484,7 @@ func buildInto(a *Arena, s Scenario) (*Network, error) {
 			return nil, err
 		}
 	}
-	if a != nil {
-		a.scratch.genList = net.Generators
-	}
+	a.scratch.genList = net.Generators
 	return net, nil
 }
 
@@ -561,14 +495,11 @@ func (n *Network) target(i int) traffic.Target {
 	return n.Tree.Station(core.StationID(i))
 }
 
-// attach binds one source spec to its station set. a, when non-nil, is the
-// arena the network was built into; its scratch pools the station list and
-// the generator structs.
+// attach binds one source spec to its station set. a is the arena the
+// network was built into; its scratch pools the station list and the
+// generator structs.
 func (n *Network) attach(a *Arena, src Source) error {
-	var stations []int
-	if a != nil {
-		stations = a.scratch.stations[:0]
-	}
+	stations := a.scratch.stations[:0]
 	if src.Station == AllStations {
 		for i := 0; i < n.Scenario.N; i++ {
 			stations = append(stations, i)
@@ -576,9 +507,7 @@ func (n *Network) attach(a *Arena, src Source) error {
 	} else {
 		stations = append(stations, src.Station)
 	}
-	if a != nil {
-		a.scratch.stations = stations
-	}
+	a.scratch.stations = stations
 	if err := src.Dest.validate(n.Scenario.N); err != nil {
 		return err
 	}
@@ -586,23 +515,8 @@ func (n *Network) attach(a *Arena, src Source) error {
 		if i < 0 || i >= n.Scenario.N {
 			return fmt.Errorf("wrtring: source station %d out of range", i)
 		}
-		var slot *genSlot
-		var dest traffic.DestFn
-		if a != nil && src.Preload == 0 {
-			// Arena path: the destination closure captures only integers, so
-			// the pooled generator slot caches it keyed on those integers —
-			// repeat builds of the same shape skip the closure allocation.
-			slot = a.scratch.nextGenSlot()
-			key := destKey{kind: src.Dest.kind, arg: src.Dest.arg, self: i, n: n.Scenario.N}
-			if slot.dest == nil || slot.destKey != key {
-				slot.destKey = key
-				slot.dest = src.Dest.fn(i, n.Scenario.N, n.RNG)
-			}
-			dest = slot.dest
-		} else {
-			dest = src.Dest.fn(i, n.Scenario.N, n.RNG)
-		}
 		if src.Preload > 0 {
+			dest := src.Dest.fn(i, n.Scenario.N, n.RNG)
 			tgt := n.target(i)
 			rng := n.RNG.Split()
 			for p := 0; p < src.Preload; p++ {
@@ -613,18 +527,23 @@ func (n *Network) attach(a *Arena, src Source) error {
 			}
 			continue
 		}
+		// The destination closure captures only integers, so the pooled
+		// generator slot caches it keyed on those integers — repeat builds
+		// of the same shape skip the closure allocation.
+		slot := a.scratch.nextGenSlot()
+		key := destKey{kind: src.Dest.kind, arg: src.Dest.arg, self: i, n: n.Scenario.N}
+		if slot.dest == nil || slot.destKey != key {
+			slot.destKey = key
+			slot.dest = src.Dest.fn(i, n.Scenario.N, n.RNG)
+		}
 		spec := traffic.Spec{
-			Kind: src.Kind, Class: src.Class, Dest: dest,
+			Kind: src.Kind, Class: src.Class, Dest: slot.dest,
 			Deadline: src.Deadline, Tagged: src.Tagged,
 			Period: src.Period, Mean: src.Mean, Burst: src.Burst,
 			Start: sim.Time(src.Start), Stop: sim.Time(src.Stop),
 		}
-		if slot != nil {
-			n.RNG.SplitInto(&slot.rng)
-			n.Generators = append(n.Generators, traffic.AttachInto(&slot.gen, n.Kernel, &slot.rng, n.target(i), spec))
-		} else {
-			n.Generators = append(n.Generators, traffic.Attach(n.Kernel, n.RNG.Split(), n.target(i), spec))
-		}
+		n.RNG.SplitInto(&slot.rng)
+		n.Generators = append(n.Generators, traffic.AttachInto(&slot.gen, n.Kernel, &slot.rng, n.target(i), spec))
 	}
 	return nil
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race race check fuzz bench bench-baseline bench-check bench-grid bench-trajectory cover examples experiments experiments-check serve cluster-smoke soak-smoke persist-smoke clean
+.PHONY: all build vet test test-race race check fuzz bench bench-baseline bench-check bench-grid bench-trajectory cover examples experiments experiments-check perfbench-check serve cluster-smoke soak-smoke persist-smoke clean
 
 all: build vet test
 
@@ -80,6 +80,12 @@ experiments-check:
 	$(GO) run ./cmd/wrtexperiments > "$$tmp" && \
 	diff -u EXPERIMENTS.md "$$tmp" && \
 	! grep -n 'NOT REPRODUCED' "$$tmp"
+
+# perfbench-check vets and tests the separate perfbench module. Root
+# `go build ./...` never builds it, so without this target a change to the
+# serve or cluster API could break the benchmark unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # serve launches the scenario service (see README "Running as a service").
 PORT ?= 8080

@@ -11,38 +11,34 @@ import (
 
 // The coordinator as a batch backend: serve.Batches drives the same Submit
 // path as POST /v1/runs (cache-affine dispatch, coalescing, saturation
-// backpressure), reads shard completion from the coordinator's job table,
+// backpressure), waits on the coordinator's job table for shard completion,
 // and proxies result bytes from the owner worker's cache shard. Batch
 // shards therefore compose the per-worker caches into one cluster cache
 // exactly like single-run traffic does — a grid resubmitted to the cluster
 // is answered without running a single new simulation.
 
-// JobStatus reports one job's state for the batch tracker; ok is false when
-// the record aged out of the finished FIFO.
-func (c *Coordinator) JobStatus(id string) (serve.JobStatus, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return serve.JobStatus{}, false
+// Changed returns a channel closed at the job table's next state change.
+func (c *Coordinator) Changed() <-chan struct{} { return c.jobs.Changed() }
+
+// Wait blocks until job id is terminal and reports its final state;
+// serve.ErrUnknownJob when the record aged out of the finished FIFO.
+func (c *Coordinator) Wait(ctx context.Context, id string) (serve.JobStatus, error) {
+	j, err := c.jobs.Wait(ctx, id)
+	if err != nil {
+		return serve.JobStatus{}, err
 	}
-	return serve.JobStatus{
-		ID: id, State: j.state, Cached: j.remoteCached,
-		Coalesced: j.coalesced, Err: j.errMsg, Elapsed: j.elapsed,
-	}, true
+	st := j.Status()
+	st.Cached = j.Data.remoteCached
+	return st, nil
 }
 
 // JobResult fetches a done job's result bytes from its owner worker.
 func (c *Coordinator) JobResult(ctx context.Context, id string) (json.RawMessage, error) {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	if !ok || j.state != serve.StateDone {
-		c.mu.Unlock()
+	j, ok := c.jobs.Get(id)
+	if !ok || j.State != serve.StateDone {
 		return nil, fmt.Errorf("job %s is not done on this coordinator", id)
 	}
-	workerID := j.workerID
-	c.mu.Unlock()
-	st, err := c.fetchResult(ctx, id, workerID)
+	st, err := c.fetchResult(ctx, id, j.Data.workerID)
 	if err != nil {
 		return nil, err
 	}
@@ -52,16 +48,14 @@ func (c *Coordinator) JobResult(ctx context.Context, id string) (json.RawMessage
 // newBatches builds the coordinator's batch manager over itself.
 func (c *Coordinator) newBatches() *serve.Batches {
 	return serve.NewBatches(serve.BatchOptions{
-		Backend:      c,
-		MaxPoints:    c.cfg.MaxBatchPoints,
-		MaxBatches:   c.cfg.MaxBatches,
-		PollInterval: c.cfg.BatchPollInterval,
+		Backend:    c,
+		MaxPoints:  c.cfg.MaxBatchPoints,
+		MaxBatches: c.cfg.MaxBatches,
 		// Shard saturation is transient backpressure (the fleet is draining
 		// its queues); a dead fleet or a draining coordinator ends feeding.
 		Retryable: func(err error) bool { return errors.Is(err, ErrSaturated) },
 		Fatal: func(err error) bool {
 			return errors.Is(err, ErrDraining) || errors.Is(err, ErrNoWorkers)
 		},
-		Logf: c.logf,
 	})
 }

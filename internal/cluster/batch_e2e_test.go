@@ -28,22 +28,24 @@ func waitClusterBatch(t *testing.T, c *serve.Client, id, want string) *serve.Bat
 	return nil
 }
 
-// TestClusterBatchEndToEnd is the PR's acceptance scenario: a grid spec
-// submitted to POST /v1/batches on a 3-worker cluster streams results
-// byte-identical to the same grid run locally via sweep.Run, and a second
-// submission of the same spec completes with zero new simulations — every
-// shard answered from the fleet's composed cache.
+// TestClusterBatchEndToEnd is the batch subsystem's cluster acceptance
+// scenario: a grid spec submitted to POST /v1/batches on a 3-worker cluster
+// streams results byte-identical to the same grid run locally via
+// sweep.Run, and a second submission of the same spec completes with zero
+// new simulations — every shard answered from the fleet's composed cache.
+// The seeds axis repeats a value, so the grid coalesces onto itself.
 func TestClusterBatchEndToEnd(t *testing.T) {
-	f := newFleet(t, 3, Config{BatchPollInterval: 2 * time.Millisecond})
+	f := newFleet(t, 3, Config{})
 
 	grid := sweep.Grid{
 		Base: fastScenario(1),
 		Axes: []sweep.Axis{
 			sweep.AxisN([]int{4, 6}),
-			sweep.AxisSeeds([]uint64{1, 2, 3}),
+			sweep.AxisSeeds([]uint64{7, 7, 8}),
 			sweep.AxisProtocols(),
 		},
 	}
+	const repeats = 4 // the second seed 7 under n × protocol
 	points, err := grid.Points()
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +88,18 @@ func TestClusterBatchEndToEnd(t *testing.T) {
 	if st.Completed != st.Expanded {
 		t.Fatalf("first pass accounting: %+v", st)
 	}
+	if got := st.Completed + st.Failed + st.Dropped + st.Rejected; got != st.Expanded {
+		t.Fatalf("conservation broken: %d terminal of %d: %+v", got, st.Expanded, st)
+	}
+	// Each repeated point is answered by its first occurrence's job: folded
+	// onto it while in flight, or answered from the coordinator's done
+	// record.
+	if st.Coalesced+st.CacheHits != repeats {
+		t.Fatalf("first pass: coalesced %d + cache hits %d, want %d repeated points", st.Coalesced, st.CacheHits, repeats)
+	}
+	if cs := f.coord.Stats(); cs.Admitted != st.Expanded-repeats {
+		t.Fatalf("first pass admitted %d jobs for %d distinct points", cs.Admitted, st.Expanded-repeats)
+	}
 
 	// Second pass: zero new simulations anywhere in the fleet.
 	ranBefore := f.workerAdmitted()
@@ -121,7 +135,7 @@ func TestClusterBatchEndToEnd(t *testing.T) {
 // still closes the books — expanded = completed + failed + dropped +
 // rejected — and the partial results stay streamable.
 func TestClusterBatchDrainConservation(t *testing.T) {
-	f := newFleet(t, 2, Config{MaxPerWorker: 2, BatchPollInterval: 2 * time.Millisecond})
+	f := newFleet(t, 2, Config{MaxPerWorker: 2})
 
 	grid := sweep.Grid{
 		Base: slowScenario(1),

@@ -500,11 +500,8 @@ func TestClusterMetrics(t *testing.T) {
 func TestStatusGhostWorker(t *testing.T) {
 	f := newFleet(t, 1, Config{})
 
-	f.coord.mu.Lock()
-	f.coord.jobs["ghost-job"] = &clusterJob{
-		id: "ghost-job", state: serve.StateDone, workerID: "ghost",
-	}
-	f.coord.mu.Unlock()
+	f.coord.jobs.Admit("ghost-job", clusterJob{workerID: "ghost"})
+	f.coord.jobs.Finish("ghost-job", serve.StateDone, "", 0)
 
 	resp, err := http.Get(f.front.URL + "/v1/runs/ghost-job")
 	if err != nil {
@@ -581,5 +578,65 @@ func TestClusterPartialBatchKeepsAdmittedIDs(t *testing.T) {
 	// The admitted job's ID is live: the coordinator tracks and finishes it.
 	if st := f.waitAll(t, []string{out.Runs[0].ID})[0]; st.Result == nil {
 		t.Fatalf("admitted run never produced a result: %+v", st)
+	}
+}
+
+// TestResubmitAfterOwnerEviction: once the owner worker has evicted a done
+// job's bytes, the coordinator must stop answering "cached" for it. The
+// status read that finds the bytes gone forgets the record, so the
+// resubmission its recovery hint asks for is admitted and recomputed,
+// byte-identical to a local run.
+func TestResubmitAfterOwnerEviction(t *testing.T) {
+	srv := serve.New(serve.Config{Workers: 1, CacheEntries: 1, WorkerID: "w1"})
+	ts := httptest.NewServer(srv.Handler())
+	coord, err := New(Config{
+		Workers:      []WorkerSpec{{ID: "w1", URL: ts.URL}},
+		PollInterval: 2 * time.Millisecond, HealthInterval: 20 * time.Millisecond,
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(coord.Handler())
+	t.Cleanup(func() {
+		coord.Drain(time.Minute)
+		front.Close()
+		ts.Close()
+		srv.Drain(time.Minute)
+	})
+	f := &fleet{t: t, coord: coord, front: front, client: serve.NewClient(front.URL)}
+
+	submit := func(s wrtring.Scenario) (string, string) {
+		t.Helper()
+		code, resp, err := f.client.SubmitScenarios(context.Background(), []wrtring.Scenario{s})
+		if err != nil || code != http.StatusOK || len(resp.Runs) != 1 {
+			t.Fatalf("submit: HTTP %d, %v", code, err)
+		}
+		return resp.Runs[0].ID, resp.Runs[0].Status
+	}
+	a, b := fastScenario(1), fastScenario(2)
+	idA, _ := submit(a)
+	if st := f.waitAll(t, []string{idA})[0]; st.Result == nil {
+		t.Fatalf("A: %+v", st)
+	}
+	idB, _ := submit(b)
+	f.waitAll(t, []string{idB}) // the one-entry cache now holds B only
+
+	// The coordinator cannot know about the eviction before it asks, so the
+	// first resubmission may still be answered from its record; the status
+	// read then finds the bytes gone.
+	submit(a)
+	st := f.waitAll(t, []string{idA})[0]
+	if st.Result != nil || !strings.Contains(st.Error, "result unavailable") {
+		t.Fatalf("status after eviction: %+v, want the recovery hint", st)
+	}
+
+	// Following the hint must recompute the result.
+	if id, outcome := submit(a); id != idA || outcome != serve.SubmitQueued {
+		t.Fatalf("resubmission after eviction: id=%s outcome=%q, want %q", id, outcome, serve.SubmitQueued)
+	}
+	st = f.waitAll(t, []string{idA})[0]
+	if string(st.Result) != localBytes(t, a) {
+		t.Fatalf("recomputed A differs from local run:\n got %s", st.Result)
 	}
 }

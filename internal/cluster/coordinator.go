@@ -54,11 +54,10 @@ type Config struct {
 	MaxBatch     int
 	MaxBodyBytes int64
 	RetryAfter   time.Duration
-	// MaxBatchPoints / MaxBatches / BatchPollInterval size the /v1/batches
-	// subsystem; they mirror serve.Config (<= 0: serve defaults).
-	MaxBatchPoints    int64
-	MaxBatches        int
-	BatchPollInterval time.Duration
+	// MaxBatchPoints / MaxBatches size the /v1/batches subsystem; they
+	// mirror serve.Config (<= 0: serve defaults).
+	MaxBatchPoints int64
+	MaxBatches     int
 	// HTTPTimeout bounds each inbound API request end to end
 	// (<= 0: httpx.DefaultRequestTimeout); distinct from RequestTimeout,
 	// which bounds the coordinator's own calls to workers. Debug endpoints
@@ -97,20 +96,19 @@ var (
 	ErrNoWorkers = errors.New("cluster: no live workers")
 )
 
-// clusterJob is the coordinator's record of one admitted spec. state,
-// workerID, attempts, coalesced and the terminal fields are guarded by
-// Coordinator.mu; scenario is immutable between admission and terminal
-// transition (where it is released).
+// clusterJob is the coordinator's per-job data in its job table; workerID
+// outlives the job so the status path knows which shard holds the bytes.
 type clusterJob struct {
-	id           string
-	scenario     wrtring.Scenario
-	state        serve.State
 	workerID     string
 	attempts     int
-	coalesced    int64
 	remoteCached bool
-	errMsg       string
-	elapsed      time.Duration
+}
+
+// dispatchJob carries an admitted job's scenario to a worker's
+// dispatchers; the job record never holds it.
+type dispatchJob struct {
+	id       string
+	scenario wrtring.Scenario
 }
 
 // Coordinator fans /v1/runs submissions out to the worker fleet with
@@ -130,28 +128,23 @@ type Coordinator struct {
 	// nil when RebalanceInterval <= 0.
 	rebalanceCh                   chan struct{}
 	rebSweeps, rebKeys, rebErrors atomic.Int64
+	redispatched, remoteCacheHits atomic.Int64
 
-	mu            sync.Mutex
-	ring          *Ring
-	workers       map[string]*worker
-	order         []*worker // admission order, for stable metrics/iteration
-	draining      bool
-	jobs          map[string]*clusterJob
-	finishedOrder []string
-	finishedCap   int
+	jobs *serve.Jobs[clusterJob]
 
-	admitted, completed, failed, dropped int64
-	rejected, coalesced                  int64
-	redispatched, remoteCacheHits        int64
-	latency                              map[string]*stats.Histogram // by worker ID
+	mu       sync.Mutex
+	ring     *Ring
+	workers  map[string]*worker
+	order    []*worker // admission order, for stable metrics/iteration
+	draining bool
+	latency  map[string]*stats.Histogram // by worker ID
 }
 
 // ClusterStats is a point-in-time snapshot of the coordinator counters.
 // The conservation law Admitted == Completed + Failed + Dropped holds once
 // the coordinator is drained.
 type ClusterStats struct {
-	Admitted, Completed, Failed, Dropped int64
-	Rejected, Coalesced                  int64
+	serve.JobCounts
 	// Redispatched counts job moves to another worker after a dispatch,
 	// poll or health failure.
 	Redispatched int64
@@ -200,9 +193,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = serve.DefaultRetryAfter
 	}
-	if cfg.FinishedRecords <= 0 {
-		cfg.FinishedRecords = serve.DefaultFinishedRecords
-	}
 	if cfg.HandoffBatch <= 0 {
 		cfg.HandoffBatch = DefaultHandoffBatch
 	}
@@ -222,12 +212,11 @@ func New(cfg Config) (*Coordinator, error) {
 			LogEntries:     cfg.LogEntries,
 			Logf:           cfg.Logf,
 		}),
-		logf:        cfg.Logf,
-		ctx:         ctx,
-		cancel:      cancel,
-		jobs:        make(map[string]*clusterJob),
-		finishedCap: cfg.FinishedRecords,
-		latency:     make(map[string]*stats.Histogram),
+		logf:    cfg.Logf,
+		ctx:     ctx,
+		cancel:  cancel,
+		jobs:    serve.NewJobs[clusterJob](cfg.FinishedRecords),
+		latency: make(map[string]*stats.Histogram),
 	}
 	// A job channel can hold at most every outstanding job in the cluster
 	// (redispatch conserves the total, admission bounds it), so this cap
@@ -344,46 +333,35 @@ func (c *Coordinator) Submit(s wrtring.Scenario) (id, outcome string, err error)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.draining {
-		c.rejected++
+		c.jobs.Reject()
 		return id, "", ErrDraining
 	}
-	if j, ok := c.jobs[id]; ok {
-		switch j.state {
-		case serve.StateQueued, serve.StateRunning:
-			j.coalesced++
-			c.coalesced++
-			return id, serve.SubmitCoalesced, nil
-		case serve.StateDone:
-			// The job completed on its owner, whose cache shard holds the
-			// bytes; GET /v1/runs/{id} proxies them from there.
-			return id, serve.SubmitCached, nil
-		default:
-			// failed or dropped: re-admit below (determinism makes a retry
-			// produce the identical result — or the identical error).
-			c.unretireLocked(id)
-		}
+	if c.jobs.Coalesce(id) {
+		return id, serve.SubmitCoalesced, nil
 	}
+	if j, ok := c.jobs.Get(id); ok && j.State == serve.StateDone {
+		// The job completed on its owner, whose cache shard holds the bytes;
+		// GET /v1/runs/{id} proxies them from there (see fetchResult).
+		return id, serve.SubmitCached, nil
+	}
+	// Unknown, failed or dropped: (re-)admit. Determinism makes a retry
+	// produce the identical result — or the identical error.
 	owner, ok := c.ownerLocked(id)
 	if !ok {
-		c.rejected++
+		c.jobs.Reject()
 		return id, "", ErrNoWorkers
 	}
 	if owner.queueDepth() >= c.cfg.MaxPerWorker {
-		c.rejected++
+		c.jobs.Reject()
 		return id, "", ErrSaturated
 	}
-	j := &clusterJob{id: id, scenario: s, state: serve.StateQueued, workerID: owner.id}
-	c.jobs[id] = j
-	c.admitted++
+	c.jobs.Admit(id, clusterJob{workerID: owner.id})
 	owner.addDepth()
-	if !owner.enqueue(j) {
-		// Cannot happen with the capacity proof above; account it as a
-		// rejection rather than deadlock if the proof is ever broken.
+	if !owner.enqueue(dispatchJob{id: id, scenario: s}) {
+		// Cannot happen with the capacity proof in New; fail the job rather
+		// than deadlock if the proof is ever broken.
 		owner.dropDepth()
-		delete(c.jobs, id)
-		c.admitted--
-		c.rejected++
-		return id, "", ErrSaturated
+		c.jobs.Finish(id, serve.StateFailed, "dispatch channel full (capacity invariant broken)", 0)
 	}
 	return id, serve.SubmitQueued, nil
 }
@@ -397,35 +375,13 @@ func (c *Coordinator) ownerLocked(key string) (*worker, bool) {
 	return c.workers[id], true
 }
 
-// unretireLocked removes a terminal record's FIFO entry ahead of
-// re-admission under the same ID, so the order list never holds duplicates.
-func (c *Coordinator) unretireLocked(id string) {
-	for i, old := range c.finishedOrder {
-		if old == id {
-			c.finishedOrder = append(c.finishedOrder[:i], c.finishedOrder[i+1:]...)
-			break
-		}
-	}
-}
-
-// retireLocked bounds the terminal-record set FIFO, like serve's queue.
-func (c *Coordinator) retireLocked(id string) {
-	c.finishedOrder = append(c.finishedOrder, id)
-	for len(c.finishedOrder) > c.finishedCap {
-		old := c.finishedOrder[0]
-		c.finishedOrder = c.finishedOrder[1:]
-		delete(c.jobs, old)
-	}
-}
-
 // Stats snapshots the coordinator counters.
 func (c *Coordinator) Stats() ClusterStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := ClusterStats{
-		Admitted: c.admitted, Completed: c.completed, Failed: c.failed,
-		Dropped: c.dropped, Rejected: c.rejected, Coalesced: c.coalesced,
-		Redispatched: c.redispatched, RemoteCacheHits: c.remoteCacheHits,
+		JobCounts:    c.jobs.Counts(),
+		Redispatched: c.redispatched.Load(), RemoteCacheHits: c.remoteCacheHits.Load(),
 		Workers: len(c.order), Draining: c.draining,
 	}
 	for _, w := range c.order {
@@ -444,48 +400,15 @@ func (c *Coordinator) Stats() ClusterStats {
 func (c *Coordinator) Drain(timeout time.Duration) serve.DrainReport {
 	c.mu.Lock()
 	c.draining = true
-	before := ClusterStats{Completed: c.completed, Failed: c.failed, Dropped: c.dropped}
 	c.mu.Unlock()
-
-	deadline := time.Now().Add(timeout)
-	deadlineExceeded := true
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		outstanding := c.admitted - c.completed - c.failed - c.dropped
-		c.mu.Unlock()
-		if outstanding == 0 {
-			deadlineExceeded = false
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	c.cancel()
-	c.wg.Wait()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Dispatchers are gone; anything non-terminal (still sitting in a job
-	// channel, or abandoned mid-poll by the cancel) is dropped work.
-	for _, j := range c.jobs {
-		if j.state == serve.StateQueued || j.state == serve.StateRunning {
-			j.state = serve.StateDropped
-			j.errMsg = "dropped: coordinator shut down before the job finished"
-			j.scenario = wrtring.Scenario{}
-			c.dropped++
-			c.retireLocked(j.id)
-		}
-	}
-	report := serve.DrainReport{
-		Completed:        c.completed - before.Completed,
-		Failed:           c.failed - before.Failed,
-		Dropped:          c.dropped - before.Dropped,
-		DeadlineExceeded: deadlineExceeded,
-	}
-	c.mu.Unlock()
-	// Every job is terminal now, so the batch trackers settle their shard
+	// Jobs left in a channel or abandoned mid-poll by stop are dropped work.
+	report := c.jobs.Drain(timeout, func() {
+		c.cancel()
+		c.wg.Wait()
+	}, "dropped: coordinator shut down before the job finished")
+	// Every job is terminal now, so the batch waiters settle their shard
 	// accounting (conservation per batch) and exit; unfed shards were
 	// rejected the moment admission saw ErrDraining.
 	c.batches.Drain(timeout)
-	c.mu.Lock()
 	return report
 }

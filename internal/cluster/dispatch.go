@@ -40,17 +40,10 @@ func (c *Coordinator) runWorker(w *worker) {
 // simple: a job that dies with its worker is re-submitted whole elsewhere
 // and the recomputed result is byte-identical, so there is nothing to
 // migrate or reconcile — only to re-run.
-func (c *Coordinator) dispatch(w *worker, j *clusterJob) {
-	c.mu.Lock()
-	if j.state != serve.StateQueued || j.workerID != w.id {
-		// Stale handoff (the job was retired by a drain that raced the pull).
-		c.mu.Unlock()
-		return
+func (c *Coordinator) dispatch(w *worker, j dispatchJob) {
+	if !c.jobs.Start(j.id) {
+		return // stale handoff: the job is no longer queued
 	}
-	j.state = serve.StateRunning
-	scenario := j.scenario
-	c.mu.Unlock()
-
 	if !w.isAlive() {
 		c.moveJob(j, w, "owner ejected before dispatch")
 		return
@@ -62,7 +55,7 @@ submit:
 	if c.ctx.Err() != nil {
 		return // drain accounting picks the job up as dropped
 	}
-	code, resp, err := w.client.SubmitScenarios(c.ctx, []wrtring.Scenario{scenario})
+	code, resp, err := w.client.SubmitScenarios(c.ctx, []wrtring.Scenario{j.scenario})
 	switch {
 	case err != nil:
 		if c.ctx.Err() != nil {
@@ -81,7 +74,7 @@ submit:
 		c.moveJob(j, w, "worker draining")
 		return
 	case len(resp.Runs) != 1:
-		c.failJob(j, w, "worker returned a malformed submit response", time.Since(start))
+		c.finishJob(j.id, w, serve.StateFailed, "worker returned a malformed submit response", time.Since(start))
 		return
 	}
 
@@ -91,10 +84,8 @@ submit:
 	case serve.SubmitCached:
 		// The worker's cache shard already holds this result: the whole point
 		// of cache-affine routing.
-		c.mu.Lock()
-		c.remoteCacheHits++
-		j.remoteCached = true
-		c.mu.Unlock()
+		c.remoteCacheHits.Add(1)
+		c.jobs.Update(j.id, func(d *clusterJob) { d.remoteCached = true })
 	case "rejected":
 		// The worker's own queue is full (it may serve direct clients too).
 		// Honour its backpressure hint a few times, then fail over.
@@ -108,7 +99,7 @@ submit:
 		}
 		goto submit
 	default: // "invalid" or unknown
-		c.failJob(j, w, "worker rejected the spec: "+run.Error, time.Since(start))
+		c.finishJob(j.id, w, serve.StateFailed, "worker rejected the spec: "+run.Error, time.Since(start))
 		return
 	}
 
@@ -139,11 +130,11 @@ submit:
 		}
 		switch st.Status {
 		case serve.StateDone.String():
-			c.finishJob(j, w, serve.StateDone, "", time.Since(start))
+			c.finishJob(j.id, w, serve.StateDone, "", time.Since(start))
 			return
 		case serve.StateFailed.String():
 			// A deterministic failure: re-running elsewhere reproduces it.
-			c.failJob(j, w, st.Error, time.Since(start))
+			c.finishJob(j.id, w, serve.StateFailed, st.Error, time.Since(start))
 			return
 		case serve.StateDropped.String():
 			// The worker drained mid-job; the work itself is still viable.
@@ -177,93 +168,65 @@ func (c *Coordinator) ejectWorker(w *worker, format string, args ...any) {
 // goes back to queued state on the hash ring's next live owner. When the
 // original owner is the only live worker it retries there; when no worker
 // is live, or the attempt budget is spent, the job fails.
-func (c *Coordinator) moveJob(j *clusterJob, from *worker, reason string) {
-	c.mu.Lock()
+func (c *Coordinator) moveJob(j dispatchJob, from *worker, reason string) {
 	from.dropDepth()
-	j.attempts++
-	if j.attempts >= c.cfg.MaxAttempts {
-		c.terminalLocked(j, serve.StateFailed,
-			fmt.Sprintf("failed after %d dispatch attempts (last: %s)", j.attempts, reason))
-		c.mu.Unlock()
+	rec, _ := c.jobs.Update(j.id, func(d *clusterJob) { d.attempts++ })
+	attempts := rec.Data.attempts
+	if attempts >= c.cfg.MaxAttempts {
+		c.jobs.Finish(j.id, serve.StateFailed,
+			fmt.Sprintf("failed after %d dispatch attempts (last: %s)", attempts, reason), 0)
 		return
 	}
-	var target *worker
-	for _, id := range c.ring.Sequence(j.id) {
-		if w := c.workers[id]; id != from.id && w.isAlive() {
-			target = w
-			break
-		}
-	}
-	moved := target != nil
-	if target == nil && from.isAlive() {
-		target = from // sole live worker: retry in place
-	}
+	target := c.nextOwner(j.id, from)
 	if target == nil {
-		c.terminalLocked(j, serve.StateFailed, "no live workers (last: "+reason+")")
-		c.mu.Unlock()
+		c.jobs.Finish(j.id, serve.StateFailed, "no live workers (last: "+reason+")", 0)
 		return
 	}
-	if moved {
-		c.redispatched++
-	}
-	j.state = serve.StateQueued
-	j.workerID = target.id
+	c.jobs.Update(j.id, func(d *clusterJob) { d.workerID = target.id })
+	c.jobs.Requeue(j.id)
 	target.addDepth()
 	if !target.enqueue(j) {
 		target.dropDepth()
-		c.terminalLocked(j, serve.StateFailed, "redispatch channel full (capacity invariant broken)")
-		c.mu.Unlock()
+		c.jobs.Finish(j.id, serve.StateFailed, "redispatch channel full (capacity invariant broken)", 0)
 		return
 	}
-	c.mu.Unlock()
 	c.logf("cluster: redispatching %s: %s → %s (%s, attempt %d)",
-		shortID(j.id), from.id, target.id, reason, j.attempts)
+		shortID(j.id), from.id, target.id, reason, attempts)
 }
 
-// finishJob retires a successfully completed job.
-func (c *Coordinator) finishJob(j *clusterJob, w *worker, state serve.State, errMsg string, elapsed time.Duration) {
+// nextOwner picks a redispatch target: the hash ring's next live owner
+// after from, else from itself when it is the only live worker, else nil.
+func (c *Coordinator) nextOwner(id string, from *worker) *worker {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w.dropDepth()
-	j.elapsed = elapsed
-	h, ok := c.latency[w.id]
-	if !ok {
-		h = stats.NewHistogram(latencyCapMs)
-		c.latency[w.id] = h
+	for _, wid := range c.ring.Sequence(id) {
+		if w := c.workers[wid]; wid != from.id && w.isAlive() {
+			c.redispatched.Add(1)
+			return w
+		}
 	}
-	h.Add(elapsed.Milliseconds())
-	c.terminalLocked(j, state, errMsg)
+	if from.isAlive() {
+		return from // sole live worker: retry in place
+	}
+	return nil
 }
 
-// failJob retires a job that cannot succeed (invalid spec, deterministic
-// simulation error, attempts exhausted).
-func (c *Coordinator) failJob(j *clusterJob, w *worker, errMsg string, elapsed time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// finishJob retires a job its worker completed (StateDone, whose latency is
+// recorded first so a waiter that sees the job done also sees the sample) or
+// cannot complete (StateFailed: invalid spec, deterministic simulation error).
+func (c *Coordinator) finishJob(id string, w *worker, state serve.State, errMsg string, elapsed time.Duration) {
 	w.dropDepth()
-	j.elapsed = elapsed
-	c.terminalLocked(j, serve.StateFailed, errMsg)
-}
-
-// terminalLocked moves a job to a terminal state under c.mu and updates the
-// conservation counters. The scenario payload is released; workerID is kept
-// so the status path knows which cache shard holds the result bytes.
-func (c *Coordinator) terminalLocked(j *clusterJob, state serve.State, errMsg string) {
-	if j.state == serve.StateDone || j.state == serve.StateFailed || j.state == serve.StateDropped {
-		return
+	if state == serve.StateDone {
+		c.mu.Lock()
+		h, ok := c.latency[w.id]
+		if !ok {
+			h = stats.NewHistogram(latencyCapMs)
+			c.latency[w.id] = h
+		}
+		h.Add(elapsed.Milliseconds())
+		c.mu.Unlock()
 	}
-	j.state = state
-	j.errMsg = errMsg
-	j.scenario = wrtring.Scenario{}
-	switch state {
-	case serve.StateDone:
-		c.completed++
-	case serve.StateFailed:
-		c.failed++
-	case serve.StateDropped:
-		c.dropped++
-	}
-	c.retireLocked(j.id)
+	c.jobs.Finish(id, state, errMsg, elapsed)
 }
 
 // healthLoop probes the fleet: live workers get a liveness check every

@@ -37,56 +37,49 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	c.mu.Lock()
-	j, ok := c.jobs[id]
+	j, ok := c.jobs.Get(id)
 	if !ok {
-		c.mu.Unlock()
 		httpx.Error(w, r, http.StatusNotFound,
 			"unknown run ID (never submitted, or its record aged out; resubmit the scenario)")
 		return
 	}
-	state := j.state
-	workerID := j.workerID
 	snapshot := serve.StatusResponse{
-		ID: id, Status: state.String(), Cached: j.remoteCached,
-		Coalesced: j.coalesced, ElapsedMs: j.elapsed.Milliseconds(), Error: j.errMsg,
+		ID: id, Status: j.State.String(), Cached: j.Data.remoteCached,
+		Coalesced: j.Coalesced, ElapsedMs: j.Elapsed.Milliseconds(), Error: j.Err,
 	}
-	c.mu.Unlock()
-
-	if state != serve.StateDone {
-		httpx.WriteJSON(w, http.StatusOK, snapshot)
-		return
+	if j.State == serve.StateDone {
+		// The result bytes live in the owner worker's cache shard. Proxy them
+		// through; on any failure the job stays "done" (the work happened)
+		// with a recovery hint — resubmitting recomputes the identical bytes.
+		if st, err := c.fetchResult(r.Context(), id, j.Data.workerID); err != nil {
+			snapshot.Error = err.Error()
+		} else {
+			snapshot.Result, snapshot.TraceEvents = st.Result, st.TraceEvents
+		}
 	}
-	// Done: the result bytes live in the owner worker's cache shard. Proxy
-	// them through; on any failure the job stays "done" (the work happened)
-	// with a recovery hint — resubmitting recomputes the identical bytes.
-	st, err := c.fetchResult(r.Context(), id, workerID)
-	if err != nil {
-		snapshot.Error = err.Error()
-		httpx.WriteJSON(w, http.StatusOK, snapshot)
-		return
-	}
-	snapshot.Result = st.Result
-	snapshot.TraceEvents = st.TraceEvents
 	httpx.WriteJSON(w, http.StatusOK, snapshot)
 }
 
 // fetchResult proxies a done job's status (result bytes included) from its
-// owner worker's cache shard. The worker handle can be missing entirely (a
-// job recorded against a worker the coordinator no longer knows, e.g. after
-// a config change); that is a recovery case — resubmitting recomputes the
-// identical bytes — not a panic. Shared by handleStatus and the batch
-// backend's JobResult.
+// owner worker's cache shard, for handleStatus and JobResult. When the owner
+// cannot produce the bytes — evicted, worker lost, or a worker ID the
+// coordinator no longer knows — the done record is forgotten (unless the
+// caller's own context failed), so the resubmission the hint asks for is
+// admitted and recomputed instead of being answered "cached" again.
 func (c *Coordinator) fetchResult(ctx context.Context, id, workerID string) (*serve.StatusResponse, error) {
 	c.mu.Lock()
 	worker, ok := c.workers[workerID]
 	c.mu.Unlock()
 	if !ok || worker == nil {
+		c.jobs.Forget(id)
 		return nil, fmt.Errorf(
 			"result unavailable from worker %q (unknown or removed); resubmit the scenario to recompute", workerID)
 	}
 	code, st, err := worker.client.Status(ctx, id)
 	if err != nil || code != http.StatusOK || st.Result == nil {
+		if ctx.Err() == nil {
+			c.jobs.Forget(id)
+		}
 		return nil, fmt.Errorf(
 			"result unavailable from worker %s (evicted or worker lost); resubmit the scenario to recompute", workerID)
 	}

@@ -20,7 +20,7 @@ type worker struct {
 	// ch carries admitted jobs to this worker's dispatcher goroutines. Its
 	// capacity covers every outstanding job in the cluster, so enqueue never
 	// blocks (see the capacity note in New).
-	ch chan *clusterJob
+	ch chan dispatchJob
 
 	// depth is the coordinator's count of jobs assigned to this worker that
 	// have not reached a terminal state (queued in ch, being dispatched, or
@@ -46,7 +46,7 @@ func newWorker(spec WorkerSpec, chanCap int, timeout time.Duration) *worker {
 		id:     spec.ID,
 		url:    spec.URL,
 		client: client,
-		ch:     make(chan *clusterJob, chanCap),
+		ch:     make(chan dispatchJob, chanCap),
 	}
 	w.alive.Store(true)
 	return w
@@ -61,7 +61,7 @@ func (w *worker) dropDepth()      { w.depth.Add(-1) }
 // enqueue hands a job to the worker's dispatchers; false means the channel
 // was full, which the admission bound makes impossible unless the capacity
 // proof in New is broken.
-func (w *worker) enqueue(j *clusterJob) bool {
+func (w *worker) enqueue(j dispatchJob) bool {
 	select {
 	case w.ch <- j:
 		return true

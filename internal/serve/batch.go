@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"sync"
 	"time"
 
@@ -23,31 +22,20 @@ import (
 // resubmitting a grid whose results are cached completes without running a
 // single new simulation.
 
-// BatchBackend is what the batch layer needs from an execution engine.
-// serve.Queue satisfies it via queueBackend; cluster.Coordinator implements
-// it directly (its JobResult proxies bytes from the owner worker's cache
-// shard).
+// BatchBackend is what the batch layer needs from an execution engine:
+// serve.Queue or cluster.Coordinator (whose JobResult proxies bytes from the
+// owner worker's cache shard). Changed and Wait are its job table's signals.
 type BatchBackend interface {
 	// Submit admits one scenario and reports the content-addressed job ID
 	// plus the outcome (SubmitQueued, SubmitCached or SubmitCoalesced).
 	Submit(s wrtring.Scenario) (id, outcome string, err error)
-	// JobStatus reports a job's current state; ok is false when the ID is
-	// entirely unknown (record aged out and result evicted).
-	JobStatus(id string) (JobStatus, bool)
+	// Changed returns a channel closed at the engine's next job state change.
+	Changed() <-chan struct{}
+	// Wait blocks until a job is terminal and reports its final state;
+	// ErrUnknownJob when the record aged out and the result was evicted.
+	Wait(ctx context.Context, id string) (JobStatus, error)
 	// JobResult fetches the encoded result bytes of a done job.
 	JobResult(ctx context.Context, id string) (json.RawMessage, error)
-}
-
-// queueBackend adapts the single-node Queue to BatchBackend.
-type queueBackend struct{ q *Queue }
-
-func (b queueBackend) Submit(s wrtring.Scenario) (string, string, error) { return b.q.Submit(s) }
-func (b queueBackend) JobStatus(id string) (JobStatus, bool)             { return b.q.Status(id) }
-func (b queueBackend) JobResult(_ context.Context, id string) (json.RawMessage, error) {
-	if data, ok := b.q.Result(id); ok {
-		return json.RawMessage(data), nil
-	}
-	return nil, errors.New("result evicted from cache; resubmit the scenario to recompute")
 }
 
 // Batch admission errors.
@@ -64,7 +52,6 @@ var (
 const (
 	DefaultMaxBatchPoints = 100_000
 	DefaultMaxBatches     = 64
-	DefaultBatchPoll      = 10 * time.Millisecond
 )
 
 // BatchOptions parameterise a Batches manager.
@@ -75,17 +62,12 @@ type BatchOptions struct {
 	// MaxBatches bounds retained batches, running + finished
 	// (<= 0: DefaultMaxBatches). Finished batches age out FIFO past it.
 	MaxBatches int
-	// PollInterval paces shard-completion polling and the feeder's
-	// backpressure retry (<= 0: DefaultBatchPoll).
-	PollInterval time.Duration
 	// Retryable classifies admission errors worth retrying (queue or shard
-	// full); the feeder backs off PollInterval and resubmits the shard.
+	// full) at the backend's next job state change.
 	Retryable func(error) bool
 	// Fatal classifies admission errors that end feeding (draining, no
 	// workers): the current and remaining shards are marked rejected.
 	Fatal func(error) bool
-	// Logf receives operational events (nil: log.Printf).
-	Logf func(format string, args ...any)
 }
 
 // Batches manages the server's batch set: creation, retention, cancel and
@@ -110,17 +92,11 @@ func NewBatches(opts BatchOptions) *Batches {
 	if opts.MaxBatches <= 0 {
 		opts.MaxBatches = DefaultMaxBatches
 	}
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = DefaultBatchPoll
-	}
 	if opts.Retryable == nil {
 		opts.Retryable = func(error) bool { return false }
 	}
 	if opts.Fatal == nil {
 		opts.Fatal = func(error) bool { return false }
-	}
-	if opts.Logf == nil {
-		opts.Logf = log.Printf
 	}
 	return &Batches{opts: opts, byID: make(map[string]*Batch)}
 }
@@ -131,23 +107,21 @@ func NewBatches(opts BatchOptions) *Batches {
 type batchShard struct {
 	name     string
 	jobID    string
-	status   string // "pending" | "queued" | terminal: completed|failed|dropped|rejected
+	status   string // "" until terminal: completed|failed|dropped|rejected
 	cacheHit bool
 	errMsg   string
 }
 
 // Shard status strings (terminal ones appear in BatchResultLine.Status).
 const (
-	shardPending   = "pending"
-	shardQueued    = "queued"
 	ShardCompleted = "completed"
 	ShardFailed    = "failed"
 	ShardDropped   = "dropped"
 	ShardRejected  = "rejected"
 )
 
-// Batch is one submitted grid: its shard table, counters and the wake
-// channel streamers block on.
+// Batch is one submitted grid: its shard table, counters, job waiters and
+// the wake channel streamers block on.
 type Batch struct {
 	id    string
 	grid  sweep.Grid
@@ -162,6 +136,9 @@ type Batch struct {
 	shards    []batchShard
 	doneOrder []int64 // shard indices in terminal order — the stream replay log
 	elapsed   time.Duration
+	// waiters maps each in-flight job ID to its shards (a grid may repeat a
+	// point); each ID has exactly one waiter goroutine.
+	waiters map[string][]int64
 
 	admitted  int64 // shards accepted by the backend (queued + coalesced)
 	cacheHits int64 // shards answered from the cache at submit time
@@ -176,8 +153,8 @@ type Batch struct {
 // ID returns the batch's identifier.
 func (b *Batch) ID() string { return b.id }
 
-// Create expands (lazily) and admits one grid, starting its feeder and
-// tracker. The grid must already be validated (ParseGrid does).
+// Create expands (lazily) and admits one grid, starting its feeder. The
+// grid must already be validated (ParseGrid does).
 func (bs *Batches) Create(g sweep.Grid) (*Batch, error) {
 	total := g.Size()
 	if total > bs.opts.MaxPoints {
@@ -196,25 +173,22 @@ func (bs *Batches) Create(g sweep.Grid) (*Batch, error) {
 	bs.created++
 	ctx, cancel := context.WithCancel(context.Background())
 	b := &Batch{
-		id:     fmt.Sprintf("b-%d", bs.seq),
-		grid:   g,
-		total:  total,
-		start:  time.Now(),
-		ctx:    ctx,
-		cancel: cancel,
-		wake:   make(chan struct{}),
-		shards: make([]batchShard, total),
-	}
-	for i := range b.shards {
-		b.shards[i].status = shardPending
+		id:      fmt.Sprintf("b-%d", bs.seq),
+		grid:    g,
+		total:   total,
+		start:   time.Now(),
+		ctx:     ctx,
+		cancel:  cancel,
+		wake:    make(chan struct{}),
+		shards:  make([]batchShard, total),
+		waiters: make(map[string][]int64),
 	}
 	bs.byID[b.id] = b
 	bs.order = append(bs.order, b.id)
 	bs.mu.Unlock()
 
-	bs.wg.Add(2)
+	bs.wg.Add(1)
 	go bs.feed(b)
-	go bs.track(b)
 	return b, nil
 }
 
@@ -264,9 +238,9 @@ func (bs *Batches) Cancel(id string) bool {
 }
 
 // Drain stops batch creation, cancels every feeder and waits (up to
-// timeout) for the trackers to retire their in-flight shards. Call it AFTER
+// timeout) for the waiters to retire their in-flight shards. Call it AFTER
 // the execution engine's own Drain: once every job is terminal, the
-// trackers are guaranteed to exit, preserving the per-batch conservation
+// waiters are guaranteed to exit, preserving the per-batch conservation
 // law expanded = completed + failed + dropped + rejected.
 func (bs *Batches) Drain(timeout time.Duration) bool {
 	bs.mu.Lock()
@@ -280,10 +254,12 @@ func (bs *Batches) Drain(timeout time.Duration) bool {
 		bs.wg.Wait()
 		close(done)
 	}()
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case <-done:
 		return true
-	case <-time.After(timeout):
+	case <-timer.C:
 		return false
 	}
 }
@@ -308,13 +284,14 @@ func (bs *Batches) Stats() BatchesStats {
 }
 
 // feed walks the grid in expansion order, admitting one shard at a time.
-// Backpressure (Retryable errors) backs off PollInterval and retries the
-// same shard — the server-side analogue of the client honouring
-// Retry-After — so a grid larger than the queue capacity feeds at exactly
-// the rate the queue drains. Fatal errors and cancellation reject the
-// current and all remaining shards, keeping the conservation law intact.
+// Backpressure (Retryable errors) waits for the backend's next job state
+// change and retries the same shard — the server-side analogue of the client
+// honouring Retry-After — so a grid larger than the queue capacity feeds at
+// exactly the rate the queue drains. Fatal errors and cancellation reject
+// the current and all remaining shards, keeping the conservation law intact.
 func (bs *Batches) feed(b *Batch) {
 	defer bs.wg.Done()
+	var stop error // set once feeding is over (drain or cancel)
 	for i := int64(0); i < b.total; i++ {
 		pt, err := b.grid.PointAt(i)
 		if err != nil { // unreachable on a validated grid; account, don't wedge
@@ -324,19 +301,11 @@ func (bs *Batches) feed(b *Batch) {
 		b.mu.Lock()
 		b.shards[i].name = pt.Name
 		b.mu.Unlock()
-		if err := bs.feedOne(b, i, pt.Scenario); err != nil {
-			// Feeding is over (drain or cancel): reject this shard and the rest.
-			for k := i; k < b.total; k++ {
-				if k > i {
-					if p, perr := b.grid.PointAt(k); perr == nil {
-						b.mu.Lock()
-						b.shards[k].name = p.Name
-						b.mu.Unlock()
-					}
-				}
-				b.retire(k, ShardRejected, err.Error())
-			}
-			return
+		if stop == nil {
+			stop = bs.feedOne(b, i, pt.Scenario)
+		}
+		if stop != nil {
+			b.retire(i, ShardRejected, stop.Error())
 		}
 	}
 }
@@ -348,26 +317,22 @@ func (bs *Batches) feedOne(b *Batch, i int64, s wrtring.Scenario) error {
 		if b.ctx.Err() != nil {
 			return errors.New("batch cancelled before the shard was submitted")
 		}
+		// Taken before the attempt, so capacity freed after it still wakes us.
+		changed := bs.opts.Backend.Changed()
 		id, outcome, err := bs.opts.Backend.Submit(s)
 		switch {
 		case err == nil:
 			b.mu.Lock()
 			b.shards[i].jobID = id
-			switch outcome {
-			case SubmitCached:
+			if outcome == SubmitCached {
 				b.cacheHits++
-				b.completed++
-				b.shards[i].status = ShardCompleted
-				b.shards[i].cacheHit = true
-				b.doneOrder = append(b.doneOrder, i)
-				b.wakeLocked()
-			case SubmitCoalesced:
-				b.coalesced++
+				b.retireLocked(i, ShardCompleted, "", true)
+			} else { // queued, or coalesced onto an in-flight job
+				if outcome == SubmitCoalesced {
+					b.coalesced++
+				}
 				b.admitted++
-				b.shards[i].status = shardQueued
-			default: // SubmitQueued
-				b.admitted++
-				b.shards[i].status = shardQueued
+				bs.awaitLocked(b, i, id)
 			}
 			b.mu.Unlock()
 			return nil
@@ -377,7 +342,7 @@ func (bs *Batches) feedOne(b *Batch, i int64, s wrtring.Scenario) error {
 			select {
 			case <-b.ctx.Done():
 				return errors.New("batch cancelled before the shard was submitted")
-			case <-time.After(bs.opts.PollInterval):
+			case <-changed:
 			}
 		default:
 			// Per-shard failure (e.g. an unencodable scenario): reject just
@@ -388,44 +353,39 @@ func (bs *Batches) feedOne(b *Batch, i int64, s wrtring.Scenario) error {
 	}
 }
 
-// track polls admitted shards to their terminal states. It outlives
-// cancellation on purpose: admitted work runs regardless, and the status
-// endpoint keeps reporting partial results while it drains. Exit is
-// guaranteed because every admitted job reaches a terminal state — the
-// engine's Drain marks survivors dropped, and a job whose record vanished
-// entirely is accounted failed here.
-func (bs *Batches) track(b *Batch) {
+// awaitLocked marks shard i as waiting on job id, starting the job's waiter
+// when it is the batch's first shard on that ID.
+func (bs *Batches) awaitLocked(b *Batch, i int64, id string) {
+	shards, waiting := b.waiters[id]
+	b.waiters[id] = append(shards, i)
+	if !waiting {
+		bs.wg.Add(1) // the feeder's own count keeps the group open
+		go bs.await(b, id)
+	}
+}
+
+// await blocks on one job's terminal transition and retires every shard
+// mapped to it. It outlives cancellation on purpose: admitted work runs
+// regardless. Exit is guaranteed because the engine's Drain leaves every
+// job terminal; a job whose record vanished is accounted failed here.
+func (bs *Batches) await(b *Batch, id string) {
 	defer bs.wg.Done()
-	for {
-		for i := int64(0); i < b.total; i++ {
-			b.mu.Lock()
-			sh := b.shards[i]
-			b.mu.Unlock()
-			if sh.status != shardQueued {
-				continue
-			}
-			st, ok := bs.opts.Backend.JobStatus(sh.jobID)
-			switch {
-			case !ok:
-				b.retire(i, ShardFailed, "job record lost (evicted before completion was observed); resubmit the batch")
-			case st.State == StateDone:
-				b.retireDone(i, st.Cached)
-			case st.State == StateFailed:
-				b.retire(i, ShardFailed, st.Err)
-			case st.State == StateDropped:
-				b.retire(i, ShardDropped, st.Err)
-			}
+	st, err := bs.opts.Backend.Wait(context.Background(), id)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	shards := b.waiters[id]
+	delete(b.waiters, id)
+	for _, i := range shards {
+		switch {
+		case err != nil:
+			b.retireLocked(i, ShardFailed, "job record lost (evicted before completion was observed); resubmit the batch", false)
+		case st.State == StateDone:
+			b.retireLocked(i, ShardCompleted, "", st.Cached)
+		case st.State == StateFailed:
+			b.retireLocked(i, ShardFailed, st.Err, false)
+		default:
+			b.retireLocked(i, ShardDropped, st.Err, false)
 		}
-		b.mu.Lock()
-		done := b.finishedLocked()
-		if done {
-			b.elapsed = time.Since(b.start)
-		}
-		b.mu.Unlock()
-		if done {
-			return
-		}
-		time.Sleep(bs.opts.PollInterval)
 	}
 }
 
@@ -433,11 +393,18 @@ func (bs *Batches) track(b *Batch) {
 func (b *Batch) retire(i int64, status, errMsg string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if terminalShard(b.shards[i].status) {
-		return
+	b.retireLocked(i, status, errMsg, false)
+}
+
+// retireLocked moves one shard to a terminal state, marking whether a cache
+// answered it, and wakes streamers.
+func (b *Batch) retireLocked(i int64, status, errMsg string, cacheHit bool) {
+	if b.shards[i].status != "" {
+		return // already terminal
 	}
 	b.shards[i].status = status
 	b.shards[i].errMsg = errMsg
+	b.shards[i].cacheHit = cacheHit
 	switch status {
 	case ShardCompleted:
 		b.completed++
@@ -449,30 +416,10 @@ func (b *Batch) retire(i int64, status, errMsg string) {
 		b.rejected++
 	}
 	b.doneOrder = append(b.doneOrder, i)
-	b.wakeLocked()
-}
-
-// retireDone completes a shard, marking whether the engine answered it from
-// cache after admission (a coalesced-onto-cached or remote-cache case).
-func (b *Batch) retireDone(i int64, cached bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if terminalShard(b.shards[i].status) {
-		return
+	if b.finishedLocked() {
+		b.elapsed = time.Since(b.start)
 	}
-	b.shards[i].status = ShardCompleted
-	b.shards[i].cacheHit = b.shards[i].cacheHit || cached
-	b.completed++
-	b.doneOrder = append(b.doneOrder, i)
 	b.wakeLocked()
-}
-
-func terminalShard(status string) bool {
-	switch status {
-	case ShardCompleted, ShardFailed, ShardDropped, ShardRejected:
-		return true
-	}
-	return false
 }
 
 // wakeLocked broadcasts to every streamer blocked on the wake channel.

@@ -45,14 +45,18 @@ func waitBatch(t *testing.T, c *Client, id string, want string) *BatchStatusResp
 // TestBatchEndToEnd is the subsystem's acceptance test on a single node: a
 // grid submitted to POST /v1/batches streams results byte-identical to the
 // same grid run locally via sweep.Run, and a second submission of the same
-// spec completes with zero new simulations — every shard a cache hit.
+// spec completes with zero new simulations — every shard a cache hit. The
+// seeds axis repeats a value, so the grid coalesces onto itself: every
+// repeated point must still stream its own line.
 func TestBatchEndToEnd(t *testing.T) {
-	srv := New(Config{Workers: 4, QueueCapacity: 32, BatchPollInterval: 2 * time.Millisecond})
+	srv := New(Config{Workers: 4, QueueCapacity: 32})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Drain(time.Minute)
 
 	grid := testGrid()
+	grid.Axes[1] = sweep.AxisSeeds([]uint64{7, 7, 8})
+	const repeats = 4 // the second seed 7 under n × protocol
 	points, err := grid.Points()
 	if err != nil {
 		t.Fatal(err)
@@ -104,6 +108,17 @@ func TestBatchEndToEnd(t *testing.T) {
 	if st.Completed != st.Expanded || st.Failed+st.Dropped+st.Rejected != 0 {
 		t.Fatalf("first pass accounting off: %+v", st)
 	}
+	if got := st.Completed + st.Failed + st.Dropped + st.Rejected; got != st.Expanded {
+		t.Fatalf("conservation broken: %d terminal of %d: %+v", got, st.Expanded, st)
+	}
+	// Each repeated point is answered by its first occurrence's job: folded
+	// onto it while in flight, or a cache hit once it is done.
+	if st.Coalesced+st.CacheHits != repeats {
+		t.Fatalf("first pass: coalesced %d + cache hits %d, want %d repeated points", st.Coalesced, st.CacheHits, repeats)
+	}
+	if qs := srv.Queue().Stats(); qs.Admitted != st.Expanded-repeats {
+		t.Fatalf("first pass ran %d jobs for %d distinct points", qs.Admitted, st.Expanded-repeats)
+	}
 
 	// Second submission: all shards must be served from the cache with zero
 	// new simulations (the queue's admitted counter must not move).
@@ -135,10 +150,10 @@ func TestBatchEndToEnd(t *testing.T) {
 }
 
 // TestBatchFeedsThroughBackpressure: a grid bigger than the queue capacity
-// must still complete — the feeder retries ErrQueueFull at the poll
-// interval, feeding exactly as fast as the queue drains.
+// must still complete — the feeder retries ErrQueueFull at each job state
+// change, feeding exactly as fast as the queue drains.
 func TestBatchFeedsThroughBackpressure(t *testing.T) {
-	srv := New(Config{Workers: 2, QueueCapacity: 2, BatchPollInterval: 2 * time.Millisecond})
+	srv := New(Config{Workers: 2, QueueCapacity: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Drain(time.Minute)
@@ -160,7 +175,7 @@ func TestBatchFeedsThroughBackpressure(t *testing.T) {
 // expanded = completed + failed + dropped + rejected, and the partial
 // results must stay visible on the status and results endpoints.
 func TestBatchDrainConservation(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueCapacity: 2, BatchPollInterval: 2 * time.Millisecond})
+	srv := New(Config{Workers: 1, QueueCapacity: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -217,7 +232,7 @@ func TestBatchDrainConservation(t *testing.T) {
 // TestBatchCancel: DELETE stops feeding; unsubmitted shards are rejected,
 // admitted ones drain, and the conservation law still closes the books.
 func TestBatchCancel(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueCapacity: 1, BatchPollInterval: 2 * time.Millisecond})
+	srv := New(Config{Workers: 1, QueueCapacity: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Drain(time.Minute)
@@ -260,8 +275,7 @@ func TestBatchCancel(t *testing.T) {
 func TestBatchStreamOutlivesHTTPTimeout(t *testing.T) {
 	srv := New(Config{
 		Workers: 1, QueueCapacity: 8,
-		RequestTimeout:    50 * time.Millisecond,
-		BatchPollInterval: 2 * time.Millisecond,
+		RequestTimeout: 50 * time.Millisecond,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -298,7 +312,7 @@ func TestBatchStreamOutlivesHTTPTimeout(t *testing.T) {
 
 // TestBatchSSE: Accept: text/event-stream switches the framing.
 func TestBatchSSE(t *testing.T) {
-	srv := New(Config{Workers: 2, QueueCapacity: 8, BatchPollInterval: 2 * time.Millisecond})
+	srv := New(Config{Workers: 2, QueueCapacity: 8})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Drain(time.Minute)

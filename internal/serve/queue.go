@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -45,6 +46,9 @@ func (s State) String() string {
 	}
 }
 
+// Terminal reports whether s is done, failed or dropped.
+func (s State) Terminal() bool { return s >= StateDone }
+
 // Submission outcomes reported by Submit.
 const (
 	// SubmitQueued: a new job was admitted.
@@ -65,24 +69,21 @@ var (
 	ErrDraining = errors.New("serve: server is draining")
 )
 
-// jobRecord is the queue's view of one admitted scenario. The scenario
-// itself is released on terminal transition; finished records keep only
-// identity, outcome and timings.
-type jobRecord struct {
-	id       string
-	scenario wrtring.Scenario
-	state    State
-	errMsg   string
-	// journal is the run's trace recorder when the scenario enables Trace;
-	// it is written by the simulation goroutine and read concurrently by
-	// the HTTP status path (trace.Recorder is internally locked). It is a
-	// view into the worker's reusable arena, so terminal() snapshots its
-	// total into traceTotal and drops the pointer — the recorder belongs to
-	// the worker's NEXT job the moment this one retires.
+// queueJob is the queue's per-job data in its job table.
+type queueJob struct {
+	// journal is the run's trace recorder when the scenario enables Trace,
+	// read concurrently by the status path (trace.Recorder is internally
+	// locked). It lives in the worker's reusable arena, so retire freezes
+	// its total into traceTotal and drops the pointer.
 	journal    *trace.Recorder
 	traceTotal uint64
-	coalesced  int64
-	elapsed    time.Duration
+}
+
+// queuedRun carries an admitted job's scenario to a worker; the job record
+// never holds it.
+type queuedRun struct {
+	id       string
+	scenario wrtring.Scenario
 }
 
 // JobStatus is the externally visible snapshot of a job or cached result.
@@ -134,9 +135,6 @@ type LatencyStats struct {
 // land in the overflow bucket; see internal/stats).
 const latencyCapMs = 120_000
 
-// DefaultFinishedRecords bounds retained terminal job records.
-const DefaultFinishedRecords = 4096
-
 // Queue is the bounded, admission-controlled job queue. Submissions are
 // content-addressed: a spec identical to an in-flight one coalesces onto
 // the existing job, and a spec whose result is cached never becomes a job
@@ -146,28 +144,17 @@ const DefaultFinishedRecords = 4096
 type Queue struct {
 	cache    *Cache
 	capacity int
-	workers  int
 
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mu            sync.Mutex
-	ch            chan *jobRecord
-	draining      bool
-	inflight      map[string]*jobRecord // queued or running
-	finished      map[string]*jobRecord // terminal, bounded FIFO
-	finishedOrder []string
-	finishedCap   int
+	jobs *Jobs[queueJob]
 
-	depth, running int
-	admitted       int64
-	completed      int64
-	failed         int64
-	dropped        int64
-	rejected       int64
-	coalesced      int64
-	latency        map[string]*stats.Histogram
+	mu       sync.Mutex
+	ch       chan queuedRun
+	draining bool
+	latency  map[string]*stats.Histogram
 }
 
 // NewQueue creates a queue of at most capacity pending jobs executed by the
@@ -182,16 +169,13 @@ func NewQueue(cache *Cache, capacity, workers int) *Queue {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &Queue{
-		cache:       cache,
-		capacity:    capacity,
-		workers:     workers,
-		ctx:         ctx,
-		cancel:      cancel,
-		ch:          make(chan *jobRecord, capacity),
-		inflight:    make(map[string]*jobRecord),
-		finished:    make(map[string]*jobRecord),
-		finishedCap: DefaultFinishedRecords,
-		latency:     make(map[string]*stats.Histogram),
+		cache:    cache,
+		capacity: capacity,
+		ctx:      ctx,
+		cancel:   cancel,
+		jobs:     NewJobs[queueJob](DefaultFinishedRecords),
+		ch:       make(chan queuedRun, capacity),
+		latency:  make(map[string]*stats.Histogram),
 	}
 	for i := 0; i < workers; i++ {
 		q.wg.Add(1)
@@ -216,89 +200,84 @@ func (q *Queue) Submit(s wrtring.Scenario) (id, outcome string, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.draining {
-		q.rejected++
+		q.jobs.Reject()
 		return id, "", ErrDraining
 	}
-	if j, ok := q.inflight[id]; ok {
-		j.coalesced++
-		q.coalesced++
+	if q.jobs.Coalesce(id) {
 		return id, SubmitCoalesced, nil
 	}
-	// Second cache check, now under q.mu: a worker publishes result bytes
-	// (cache.Put) strictly before it retires the job record (terminal takes
-	// q.mu), so a completion that raced the lock-free lookup above is
-	// visible here. Without this, a duplicate submission landing in the
-	// Put→terminal window re-admits and re-runs a spec whose bytes are
-	// already cached. (If the entry was instead *evicted* in that window,
-	// the re-admission below is the correct recovery: deterministic re-run,
-	// identical bytes.)
+	// Second cache check: a worker publishes result bytes (cache.Put) before
+	// it retires the job record, so a completion that raced the lookup above
+	// is visible here rather than re-run. (An entry *evicted* meanwhile is
+	// re-admitted below: a deterministic re-run, identical bytes.)
 	if _, ok := q.cache.GetIfPresent(id); ok {
 		return id, SubmitCached, nil
 	}
-	if q.depth >= q.capacity {
-		q.rejected++
+	if q.jobs.Counts().Queued >= q.capacity {
+		q.jobs.Reject()
 		return id, "", ErrQueueFull
 	}
-	j := &jobRecord{id: id, scenario: s, state: StateQueued}
-	q.inflight[id] = j
-	q.depth++
-	q.admitted++
-	q.ch <- j // buffered to capacity; never blocks under the depth bound
+	q.jobs.Admit(id, queueJob{})
+	q.ch <- queuedRun{id: id, scenario: s} // buffered to capacity; never blocks under the depth bound
 	return id, SubmitQueued, nil
 }
 
 // Status reports a job or cached result by ID. The bool is false when the
 // ID is entirely unknown (never admitted, record aged out and not cached).
 func (q *Queue) Status(id string) (JobStatus, bool) {
-	q.mu.Lock()
-	if j, ok := q.inflight[id]; ok {
-		st := q.statusLocked(j)
-		q.mu.Unlock()
+	// A running job's journal total is live; a finished job's is frozen.
+	var events uint64
+	j, ok := q.jobs.Update(id, func(d *queueJob) {
+		if events = d.traceTotal; d.journal != nil {
+			events = d.journal.Total()
+		}
+	})
+	if ok {
+		st := j.Status()
+		st.TraceEvents = events
 		return st, true
 	}
-	if j, ok := q.finished[id]; ok {
-		st := q.statusLocked(j)
-		q.mu.Unlock()
-		return st, true
-	}
-	q.mu.Unlock()
 	if q.cache.Contains(id) {
 		return JobStatus{ID: id, State: StateDone, Cached: true}, true
 	}
 	return JobStatus{}, false
 }
 
-func (q *Queue) statusLocked(j *jobRecord) JobStatus {
-	st := JobStatus{
-		ID: j.id, State: j.state, Coalesced: j.coalesced,
-		Err: j.errMsg, Elapsed: j.elapsed,
+// Changed returns a channel closed at the queue's next job state change.
+func (q *Queue) Changed() <-chan struct{} { return q.jobs.Changed() }
+
+// Wait blocks until id is terminal and reports its final status (done and
+// cached for an ID the table no longer knows but the cache does).
+func (q *Queue) Wait(ctx context.Context, id string) (JobStatus, error) {
+	j, err := q.jobs.Wait(ctx, id)
+	if errors.Is(err, ErrUnknownJob) && q.cache.Contains(id) {
+		return JobStatus{ID: id, State: StateDone, Cached: true}, nil
 	}
-	// Reading the journal total while the simulation goroutine records is
-	// the concurrent path trace.Recorder's internal lock exists for. After
-	// the terminal transition the pointer is gone (the arena-owned recorder
-	// now serves the worker's next job) and the frozen snapshot stands in.
-	if j.journal != nil {
-		st.TraceEvents = j.journal.Total()
-	} else {
-		st.TraceEvents = j.traceTotal
+	if err != nil {
+		return JobStatus{}, err
 	}
-	return st
+	return j.Status(), nil
 }
 
-// Result returns the encoded result bytes for a done job (served from the
-// cache, where completed jobs store their bytes).
-func (q *Queue) Result(id string) ([]byte, bool) {
-	return q.cache.Peek(id)
+// JobResult returns the encoded result bytes of a done job from the cache,
+// where completed jobs store them, or the recovery hint once evicted.
+func (q *Queue) JobResult(_ context.Context, id string) (json.RawMessage, error) {
+	if data, ok := q.cache.Peek(id); ok {
+		return json.RawMessage(data), nil
+	}
+	return nil, errors.New("result evicted from cache; resubmit the scenario to recompute")
 }
 
 // Stats snapshots the queue counters.
 func (q *Queue) Stats() QueueStats {
 	q.mu.Lock()
-	defer q.mu.Unlock()
+	draining := q.draining
+	q.mu.Unlock()
+	c := q.jobs.Counts()
 	return QueueStats{
-		Depth: q.depth, Running: q.running, Draining: q.draining,
-		Admitted: q.admitted, Completed: q.completed, Failed: q.failed,
-		Dropped: q.dropped, Rejected: q.rejected, Coalesced: q.coalesced,
+		Depth: c.Queued, Running: c.Running, Draining: draining,
+		Admitted: c.Admitted, Completed: c.Completed, Failed: c.Failed,
+		Dropped: c.Dropped, Rejected: c.Rejected, Coalesced: c.Coalesced,
 	}
 }
 
@@ -342,41 +321,16 @@ type DrainReport struct {
 // all block until it completes.
 func (q *Queue) Drain(timeout time.Duration) DrainReport {
 	q.mu.Lock()
-	already := q.draining
-	if !already {
+	if !q.draining {
 		q.draining = true
 		close(q.ch) // Submit holds q.mu and checks draining, so no send can race this close
 	}
-	before := QueueStats{Completed: q.completed, Failed: q.failed, Dropped: q.dropped}
 	q.mu.Unlock()
-
-	workersDone := make(chan struct{})
-	go func() {
+	// stop aborts in-flight runs; what is still queued never starts.
+	return q.jobs.Drain(timeout, func() {
+		q.cancel()
 		q.wg.Wait()
-		close(workersDone)
-	}()
-	deadlineExceeded := false
-	select {
-	case <-workersDone:
-	case <-time.After(timeout):
-		deadlineExceeded = true
-		q.cancel() // abort in-flight runs; workers mark remaining jobs dropped
-		<-workersDone
-	}
-	q.cancel()
-
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if already {
-		// A concurrent Drain already accounted the window; report totals.
-		before = QueueStats{}
-	}
-	return DrainReport{
-		Completed:        q.completed - before.Completed,
-		Failed:           q.failed - before.Failed,
-		Dropped:          q.dropped - before.Dropped,
-		DeadlineExceeded: deadlineExceeded,
-	}
+	}, "dropped: server shut down before the job started")
 }
 
 // worker executes jobs one at a time via the runner until the queue is
@@ -388,102 +342,61 @@ func (q *Queue) Drain(timeout time.Duration) DrainReport {
 func (q *Queue) worker() {
 	defer q.wg.Done()
 	arena := wrtring.NewArena()
-	for j := range q.ch {
+	for run := range q.ch {
 		if q.ctx.Err() != nil {
-			// Drain deadline passed while this job sat queued.
-			q.terminal(j, StateDropped, "dropped: server shut down before the job started", 0, nil)
-			continue
+			return // drain deadline passed; Drain drops the queued remainder
 		}
-		q.mu.Lock()
-		j.state = StateRunning
-		q.depth--
-		q.running++
-		scenario := j.scenario
-		q.mu.Unlock()
-
+		q.jobs.Start(run.id)
 		setup := func(n *wrtring.Network) error {
 			if journal := n.Journal(); journal != nil {
-				q.mu.Lock()
-				j.journal = journal
-				q.mu.Unlock()
+				q.jobs.Update(run.id, func(d *queueJob) { d.journal = journal })
 			}
 			return nil
 		}
 		start := time.Now()
-		res := runner.RunJob(q.ctx, runner.Job{Name: j.id, Scenario: scenario, Setup: setup}, arena)
+		res := runner.RunJob(q.ctx, runner.Job{Name: run.id, Scenario: run.scenario, Setup: setup}, arena)
 		elapsed := time.Since(start)
 
 		switch {
 		case res.Err != nil && errors.Is(res.Err, context.Canceled):
-			q.terminal(j, StateDropped, "dropped: aborted at drain deadline", elapsed, nil)
+			q.retire(run.id, StateDropped, "dropped: aborted at drain deadline", elapsed)
 		case res.Err != nil:
-			q.terminal(j, StateFailed, res.Err.Error(), elapsed, nil)
+			q.retire(run.id, StateFailed, res.Err.Error(), elapsed)
 		default:
 			data, err := marshalResult(res.Res)
 			if err != nil {
-				q.terminal(j, StateFailed, fmt.Sprintf("encoding result: %v", err), elapsed, nil)
+				q.retire(run.id, StateFailed, fmt.Sprintf("encoding result: %v", err), elapsed)
 				continue
 			}
-			q.cache.Put(j.id, data)
-			q.terminal(j, StateDone, "", elapsed, &scenario)
+			q.cache.Put(run.id, data)
+			q.observe(run.scenario.Protocol.String(), elapsed)
+			q.retire(run.id, StateDone, "", elapsed)
 		}
 	}
 }
 
-// terminal moves a job to a terminal state and its record to the bounded
-// finished set, releasing the scenario payload.
-func (q *Queue) terminal(j *jobRecord, state State, errMsg string, elapsed time.Duration, done *wrtring.Scenario) {
+// observe records a done job's latency before its terminal transition, so
+// a waiter that sees the job done also sees the sample.
+func (q *Queue) observe(protocol string, elapsed time.Duration) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	switch j.state {
-	case StateQueued:
-		q.depth--
-	case StateRunning:
-		q.running--
+	h, ok := q.latency[protocol]
+	if !ok {
+		h = stats.NewHistogram(latencyCapMs)
+		q.latency[protocol] = h
 	}
-	j.state = state
-	j.errMsg = errMsg
-	j.elapsed = elapsed
-	j.scenario = wrtring.Scenario{}
-	// Freeze the trace count and release the recorder: it lives in the
-	// worker's arena and will be reset for the next job, so holding the
-	// pointer past this point would let Status read a different run's
-	// journal. terminal runs before the worker's next RunJob, so the
-	// snapshot is taken while the recorder still holds this job's events.
-	if j.journal != nil {
-		j.traceTotal = j.journal.Total()
-		j.journal = nil
-	}
-	switch state {
-	case StateDone:
-		q.completed++
-	case StateFailed:
-		q.failed++
-	case StateDropped:
-		q.dropped++
-	}
-	if done != nil {
-		name := done.Protocol.String()
-		h, ok := q.latency[name]
-		if !ok {
-			h = stats.NewHistogram(latencyCapMs)
-			q.latency[name] = h
+	h.Add(elapsed.Milliseconds())
+}
+
+// retire moves a job to its terminal state. It first freezes the trace count
+// and drops the recorder, which the worker's arena resets for its next job
+// (retire runs before that RunJob, so the count is still this job's).
+func (q *Queue) retire(id string, state State, errMsg string, elapsed time.Duration) {
+	q.jobs.Update(id, func(d *queueJob) {
+		if d.journal != nil {
+			d.traceTotal = d.journal.Total()
+			d.journal = nil
 		}
-		h.Add(elapsed.Milliseconds())
-	}
-	delete(q.inflight, j.id)
-	// A job can retire under an ID that already has a finished record: a
-	// duplicate submission re-admitted the spec after its cached result was
-	// evicted. Replace the record without a second FIFO entry, otherwise
-	// the first trim of the duplicated ID would delete the live record and
-	// leave a dangling order entry.
-	if _, exists := q.finished[j.id]; !exists {
-		q.finishedOrder = append(q.finishedOrder, j.id)
-	}
-	q.finished[j.id] = j
-	for len(q.finishedOrder) > q.finishedCap {
-		old := q.finishedOrder[0]
-		q.finishedOrder = q.finishedOrder[1:]
-		delete(q.finished, old)
-	}
+	})
+	q.jobs.Finish(id, state, errMsg, elapsed)
 }

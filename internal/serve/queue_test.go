@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -49,8 +50,8 @@ func TestQueueRunsAndCaches(t *testing.T) {
 		t.Fatalf("submit: %v %v", outcome, err)
 	}
 	waitState(t, q, id, StateDone)
-	data, ok := q.Result(id)
-	if !ok || len(data) == 0 {
+	data, err := q.JobResult(context.Background(), id)
+	if err != nil || len(data) == 0 {
 		t.Fatal("no result bytes for done job")
 	}
 
@@ -143,7 +144,7 @@ func TestQueueFailedJob(t *testing.T) {
 	if st.Err == "" {
 		t.Fatal("failed job has no error")
 	}
-	if _, ok := q.Result(id); ok {
+	if _, err := q.JobResult(context.Background(), id); err == nil {
 		t.Fatal("failed job has cached bytes")
 	}
 	if qs := q.Stats(); qs.Failed != 1 || qs.Completed != 0 {

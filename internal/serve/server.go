@@ -40,8 +40,6 @@ type Config struct {
 	MaxBatchPoints int64
 	// MaxBatches bounds retained batches (<= 0: DefaultMaxBatches).
 	MaxBatches int
-	// BatchPollInterval paces batch shard tracking (<= 0: DefaultBatchPoll).
-	BatchPollInterval time.Duration
 	// RetryAfter is the backpressure hint on 429/503 responses
 	// (<= 0: DefaultRetryAfter).
 	RetryAfter time.Duration
@@ -109,13 +107,11 @@ func New(cfg Config) *Server {
 		}),
 	}
 	s.batches = NewBatches(BatchOptions{
-		Backend:      queueBackend{s.queue},
-		MaxPoints:    cfg.MaxBatchPoints,
-		MaxBatches:   cfg.MaxBatches,
-		PollInterval: cfg.BatchPollInterval,
-		Retryable:    func(err error) bool { return errors.Is(err, ErrQueueFull) },
-		Fatal:        func(err error) bool { return errors.Is(err, ErrDraining) },
-		Logf:         cfg.Logf,
+		Backend:    s.queue,
+		MaxPoints:  cfg.MaxBatchPoints,
+		MaxBatches: cfg.MaxBatches,
+		Retryable:  func(err error) bool { return errors.Is(err, ErrQueueFull) },
+		Fatal:      func(err error) bool { return errors.Is(err, ErrDraining) },
 	})
 	mux := s.surface.Mux()
 	mux.HandleFunc("POST /v1/runs", s.handleSubmit)
@@ -143,8 +139,8 @@ func (s *Server) Batches() *Batches { return s.batches }
 // AccessLog exposes the surface's ring buffer (tests).
 func (s *Server) AccessLog() *httpx.Ring { return s.surface.Log() }
 
-// Drain gracefully shuts the queue down (see Queue.Drain), then retires the
-// batch trackers — the queue drain leaves every job terminal, so each
+// Drain gracefully shuts the queue down (see Queue.Drain), then joins the
+// batch waiters — the queue drain leaves every job terminal, so each
 // in-flight batch settles with its conservation law intact (unstarted
 // shards rejected, aborted ones dropped) and its partial results remain
 // streamable. The HTTP listener itself is the caller's to stop
@@ -182,14 +178,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		ElapsedMs: st.Elapsed.Milliseconds(), Error: st.Err,
 	}
 	if st.State == StateDone {
-		if data, ok := s.queue.Result(id); ok {
+		// Bytes evicted under cache pressure leave the state "done" (the
+		// work did complete) with JobResult's recovery hint instead.
+		if data, err := s.queue.JobResult(r.Context(), id); err == nil {
 			resp.Result = data
 		} else {
-			// The job finished but its bytes were evicted under cache
-			// pressure before this read. The state stays "done" (the work
-			// did complete); the hint tells the client how to recover —
-			// resubmitting re-runs the spec deterministically.
-			resp.Error = "result evicted from cache; resubmit the scenario to recompute"
+			resp.Error = err.Error()
 		}
 	}
 	httpx.WriteJSON(w, http.StatusOK, resp)

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race race check fuzz bench bench-baseline bench-check bench-grid bench-trajectory cover examples experiments experiments-check perfbench-check serve cluster-smoke soak-smoke persist-smoke clean
+.PHONY: all build vet fmt-check test test-race race check fuzz bench bench-baseline bench-check bench-grid bench-trajectory cover examples examples-check experiments experiments-check perfbench-check serve cluster-smoke soak-smoke persist-smoke clean
 
 all: build vet test
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails, listing the offenders, if any Go file is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .) && test -z "$$out" || { echo "$$out"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -65,8 +69,16 @@ cover:
 	$(GO) test -cover ./...
 
 examples:
-	for e in quickstart conference multimedia recovery multiring allocation; do \
-		echo "== $$e"; $(GO) run ./examples/$$e || exit 1; \
+	for e in examples/*/; do \
+		echo "== $$(basename $$e)"; $(GO) run ./$$e || exit 1; \
+	done
+
+# examples-check runs every example and fails if its stdout differs from the
+# committed examples/<name>/output.txt (all examples are deterministic).
+examples-check:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	for e in examples/*/; do \
+		$(GO) run ./$$e > "$$tmp" && diff -u $${e}output.txt "$$tmp" || exit 1; \
 	done
 
 experiments:

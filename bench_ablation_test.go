@@ -10,7 +10,6 @@ import (
 
 	. "github.com/rtnet/wrtring"
 	"github.com/rtnet/wrtring/internal/core"
-	"github.com/rtnet/wrtring/internal/sim"
 )
 
 // BenchmarkA1RemovalPolicy — destination removal frees slots mid-ring and
@@ -65,16 +64,14 @@ func BenchmarkA3SpliceAblation(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				net, err := Build(Scenario{
+				res, err := Run(Scenario{
 					N: 16, L: 2, K: 2, Seed: 52, Duration: 40_000,
 					DisableSplice: disable,
+					Churn:         []ChurnOp{{At: 10_000, Kind: Kill, Station: 8}},
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				net.Start()
-				net.Kernel.At(10_000, sim.PrioAdmin, func() { net.Ring.KillStation(8) })
-				res := net.Run()
 				if res.Dead {
 					b.Fatal("ring died")
 				}

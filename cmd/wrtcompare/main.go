@@ -18,7 +18,6 @@ import (
 
 	wrtring "github.com/rtnet/wrtring"
 	"github.com/rtnet/wrtring/internal/runner"
-	"github.com/rtnet/wrtring/internal/sim"
 )
 
 func main() {
@@ -61,49 +60,28 @@ func main() {
 	fmt.Println("\n== E4: reaction to control-signal loss and station death ==")
 	fmt.Printf("%4s %-9s %-14s | %7s %7s %7s | %-8s\n",
 		"N", "protocol", "fault", "bound", "detect", "heal", "repair")
-	type faultCase struct {
-		n     int
-		proto wrtring.Protocol
-		fault string
-	}
-	var cases []faultCase
-	var faultJobs []runner.Job
+	var faulted []wrtring.Scenario
 	for _, n := range counts {
 		for _, proto := range []wrtring.Protocol{wrtring.WRTRing, wrtring.TPT} {
-			for _, fault := range []string{"signal-loss", "station-death"} {
-				c := faultCase{n: n, proto: proto, fault: fault}
-				cases = append(cases, c)
-				faultJobs = append(faultJobs, runner.Job{
-					Name: fmt.Sprintf("%s/%s/N=%d", proto, fault, n),
-					Scenario: wrtring.Scenario{
-						Protocol: proto, N: n, L: *l, K: *k, Seed: *seed, Duration: *dur,
-						Sources: []wrtring.Source{{Station: wrtring.AllStations, Kind: wrtring.CBR,
-							Class: wrtring.Premium, Period: 80, Dest: wrtring.Opposite()}},
-					},
-					Setup: func(net *wrtring.Network) error {
-						net.Kernel.At(sim.Time(*dur/4), sim.PrioAdmin, func() {
-							switch {
-							case c.fault == "signal-loss" && net.Ring != nil:
-								net.Ring.LoseSATOnce()
-							case c.fault == "signal-loss":
-								net.Tree.LoseTokenOnce()
-							case net.Ring != nil:
-								net.Ring.KillStation(wrtring.StationID(c.n / 2))
-							default:
-								net.Tree.KillStation(wrtring.StationID(c.n / 2))
-							}
-						})
-						return nil
-					},
+			for _, op := range []wrtring.ChurnOp{
+				{At: *dur / 4, Kind: wrtring.LoseSignal},
+				{At: *dur / 4, Kind: wrtring.Kill, Station: n / 2},
+			} {
+				faulted = append(faulted, wrtring.Scenario{
+					Protocol: proto, N: n, L: *l, K: *k, Seed: *seed, Duration: *dur,
+					Sources: []wrtring.Source{{Station: wrtring.AllStations, Kind: wrtring.CBR,
+						Class: wrtring.Premium, Period: 80, Dest: wrtring.Opposite()}},
+					Churn: []wrtring.ChurnOp{op},
 				})
 			}
 		}
 	}
-	for i, r := range runner.Run(faultJobs, opts) {
-		if r.Err != nil {
-			panic(r.Err)
+	for i, res := range mustAll(runner.RunScenarios(faulted, opts)) {
+		s := faulted[i]
+		fault := "signal-loss"
+		if s.Churn[0].Kind == wrtring.Kill {
+			fault = "station-death"
 		}
-		res, c := r.Res, cases[i]
 		repair := "none"
 		switch {
 		case res.Reformations > 0:
@@ -112,7 +90,7 @@ func main() {
 			repair = "splice"
 		}
 		fmt.Printf("%4d %-9s %-14s | %7d %7.0f %7.0f | %-8s\n",
-			c.n, c.proto.String(), c.fault, res.RotationBound,
+			s.N, s.Protocol.String(), fault, res.RotationBound,
 			res.DetectLatency, res.HealLatency, repair)
 	}
 	fmt.Println("paper: SAT_TIME < D = 2*TTRT, and WRT-Ring splices around a dead station")

@@ -7,9 +7,10 @@
 //	wrtsweep -over seed -values 1,2,3,4,5 -n 16 -load saturate
 //	wrtsweep -over quota -values 1:1,2:2,4:2 -n 12
 //
-// With -server the grid is executed remotely against a wrtserved instance
-// or a wrtcoord cluster (both speak the same /v1/runs API), so repeated
-// sweeps hit the service's content-addressed cache instead of re-simulating:
+// With -server the grid is submitted as one batch to a wrtserved instance or
+// a wrtcoord cluster (both speak the same /v1/batches API) and the results
+// stream back, so repeated sweeps hit the service's content-addressed cache
+// instead of re-simulating:
 //
 //	wrtsweep -over n -values 5,10,20,50 -server http://localhost:8090
 package main
@@ -17,14 +18,12 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	wrtring "github.com/rtnet/wrtring"
 	"github.com/rtnet/wrtring/internal/serve"
@@ -45,13 +44,8 @@ func main() {
 		"parallel simulation workers; 1 reproduces the serial run byte-for-byte")
 	progress := flag.Bool("progress", false, "report per-run completion on stderr")
 	server := flag.String("server", "",
-		"run the sweep remotely against a wrtserved or wrtcoord URL instead of in-process")
-	batch := flag.Bool("batch", false,
-		"with -server: submit the whole grid as one POST /v1/batches and stream results, instead of per-run submissions")
+		"run the sweep remotely as one batch against a wrtserved or wrtcoord URL instead of in-process")
 	flag.Parse()
-	if *batch && *server == "" {
-		fail("-batch requires -server")
-	}
 
 	base := wrtring.Scenario{N: *n, L: *l, K: *k, Seed: *seed, Duration: *dur}
 	switch *load {
@@ -70,7 +64,7 @@ func main() {
 
 	// The flags build a serializable grid spec, and the points expand from
 	// it — the same spec and the same expansion the batch API uses
-	// server-side, so -batch, -server and local runs are provably the same
+	// server-side, so -server and local runs are provably the same
 	// point set in the same order.
 	var axis sweep.Axis
 	fields := strings.Split(*values, ",")
@@ -141,12 +135,9 @@ func main() {
 		}
 	}
 	var outs []sweep.Outcome
-	switch {
-	case *batch:
+	if *server != "" {
 		outs = runBatch(*server, grid, pts, onDone)
-	case *server != "":
-		outs = runRemote(*server, pts, onDone)
-	default:
+	} else {
 		outs = sweep.RunProgress(pts, *jobs, onDone)
 	}
 	fmt.Print(sweep.CSV(outs))
@@ -155,73 +146,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// runRemote executes the sweep against a scenario service — a single
-// wrtserved or a wrtcoord cluster, which speak the same /v1/runs protocol.
-// Points are submitted as one batch (rejected items are retried after the
-// service's backpressure hint), then polled to completion in input order.
-// Determinism makes the remote results byte-identical to local execution,
-// so the CSV is the same either way — repeated grids just stop costing
-// simulation time once the service's cache holds them.
-func runRemote(serverURL string, pts []sweep.Point, onDone func(done, total int, o sweep.Outcome)) []sweep.Outcome {
-	client := serve.NewClient(serverURL)
-	ctx := context.Background()
-
-	outs := make([]sweep.Outcome, len(pts))
-	ids := make([]string, len(pts))
-	scenarios := make([]wrtring.Scenario, len(pts))
-	for i, p := range pts {
-		scenarios[i] = p.Scenario
-	}
-	// Bounded, jittered retry honouring the service's Retry-After hint — the
-	// shared policy in serve.RetryPolicy, so this client and wrtsoak back off
-	// identically instead of hot-looping a saturated service.
-	resp, err := client.SubmitScenariosRetry(ctx, scenarios, serve.RetryPolicy{})
-	if err != nil {
-		fail("submitting to %s: %v", serverURL, err)
-	}
-	for i, run := range resp.Runs {
-		switch run.Status {
-		case "rejected":
-			outs[i].Point = pts[i]
-			outs[i].Err = fmt.Errorf("rejected after retries: %s", run.Error)
-		case "invalid":
-			outs[i].Point = pts[i]
-			outs[i].Err = errors.New(run.Error)
-		default:
-			ids[i] = run.ID
-		}
-	}
-
-	done := 0
-	for idx, p := range pts {
-		outs[idx].Point = p
-		if ids[idx] == "" {
-			continue // invalid or rejected at submission; Err already set
-		}
-		st, err := client.Wait(ctx, ids[idx], 20*time.Millisecond)
-		switch {
-		case err != nil:
-			outs[idx].Err = err
-		case st.Status != "done":
-			outs[idx].Err = fmt.Errorf("remote run %s: %s", st.Status, st.Error)
-		case st.Result == nil:
-			outs[idx].Err = fmt.Errorf("remote run done but result unavailable: %s", st.Error)
-		default:
-			var res wrtring.Result
-			if err := json.Unmarshal(st.Result, &res); err != nil {
-				outs[idx].Err = fmt.Errorf("decoding remote result: %w", err)
-			} else {
-				outs[idx].Result = &res
-			}
-		}
-		done++
-		if onDone != nil {
-			onDone(done, len(pts), outs[idx])
-		}
-	}
-	return outs
 }
 
 // runBatch submits the whole grid spec as one POST /v1/batches and streams

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	wrtring "github.com/rtnet/wrtring"
-	"github.com/rtnet/wrtring/internal/sim"
 	"github.com/rtnet/wrtring/internal/trace"
 )
 
@@ -21,7 +20,7 @@ func main() {
 	capacity := flag.Int("cap", 256, "retained events")
 	only := flag.String("only", "", "comma-separated event kinds to retain (e.g. sat.seize,rec.heal)")
 	kill := flag.Int64("kill", 0, "kill station N/2 at this slot (0 = no kill)")
-	lose := flag.Int64("lose", 0, "destroy the SAT at this slot (0 = never)")
+	lose := flag.Int64("lose", 0, "destroy the control signal (SAT or token) at this slot (0 = never)")
 	rap := flag.Bool("rap", false, "enable the Random Access Period")
 	config := flag.String("config", "", "JSON scenario file (overrides flags except -only/-cap)")
 	flag.Parse()
@@ -47,6 +46,12 @@ func main() {
 	}
 	s.Trace = true
 	s.TraceCapacity = *capacity
+	if *kill > 0 {
+		s.Churn = append(s.Churn, wrtring.ChurnOp{At: *kill, Kind: wrtring.Kill, Station: s.N / 2})
+	}
+	if *lose > 0 {
+		s.Churn = append(s.Churn, wrtring.ChurnOp{At: *lose, Kind: wrtring.LoseSignal})
+	}
 
 	net, err := wrtring.Build(s)
 	if err != nil {
@@ -59,15 +64,6 @@ func main() {
 			kinds = append(kinds, trace.Kind(strings.TrimSpace(k)))
 		}
 		net.Journal().Only(kinds...)
-	}
-	net.Start()
-	if *kill > 0 {
-		net.Kernel.At(sim.Time(*kill), sim.PrioAdmin, func() {
-			net.Ring.KillStation(wrtring.StationID(s.N / 2))
-		})
-	}
-	if *lose > 0 {
-		net.Kernel.At(sim.Time(*lose), sim.PrioAdmin, func() { net.Ring.LoseSATOnce() })
 	}
 	res := net.Run()
 

@@ -10,56 +10,35 @@ import (
 	"log"
 
 	wrtring "github.com/rtnet/wrtring"
-	"github.com/rtnet/wrtring/internal/sim"
 )
 
 func main() {
-	const n = 12
-
 	fmt.Println("recovery — control-signal loss and station death, WRT-Ring vs TPT")
 	fmt.Printf("%-10s %-22s %10s %10s %10s %8s\n",
 		"protocol", "fault", "bound", "detect", "heal", "events")
 
 	for _, proto := range []wrtring.Protocol{wrtring.WRTRing, wrtring.TPT} {
 		// Fault 1: pure signal loss (the control frame vanishes in the air).
-		run(proto, "signal-loss", func(net *wrtring.Network) {
-			net.Kernel.At(5_000, sim.PrioAdmin, func() {
-				if net.Ring != nil {
-					net.Ring.LoseSATOnce()
-				} else {
-					net.Tree.LoseTokenOnce()
-				}
-			})
-		})
+		run(proto, "signal-loss", wrtring.ChurnOp{At: 5_000, Kind: wrtring.LoseSignal})
 		// Fault 2: a station dies silently. WRT-Ring cuts it out with
 		// SAT_REC; TPT must rebuild the entire tree.
-		run(proto, "station-death", func(net *wrtring.Network) {
-			net.Kernel.At(5_000, sim.PrioAdmin, func() {
-				if net.Ring != nil {
-					net.Ring.KillStation(7)
-				} else {
-					net.Tree.KillStation(7)
-				}
-			})
-		})
+		run(proto, "station-death", wrtring.ChurnOp{At: 5_000, Kind: wrtring.Kill, Station: 7})
 	}
 }
 
-func run(proto wrtring.Protocol, fault string, inject func(*wrtring.Network)) {
-	net, err := wrtring.Build(wrtring.Scenario{
+func run(proto wrtring.Protocol, fault string, op wrtring.ChurnOp) {
+	res, err := wrtring.Run(wrtring.Scenario{
 		Protocol: proto, N: 12, L: 2, K: 2, Seed: 5,
 		Duration: 40_000,
 		Sources: []wrtring.Source{{
 			Station: wrtring.AllStations, Kind: wrtring.CBR,
 			Class: wrtring.Premium, Period: 60, Dest: wrtring.Opposite(),
 		}},
+		Churn: []wrtring.ChurnOp{op},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	net.Start()
-	inject(net)
-	res := net.Run()
 
 	kind := "?"
 	var events int64

@@ -86,7 +86,8 @@ func (f *FaultSpec) scripted() bool {
 	return f != nil && (len(f.Crashes) > 0 || f.JoinEvery > 0 || f.LeaveEvery > 0)
 }
 
-// faultTarget adapts the ring to the fault package's script interface.
+// faultTarget adapts the network's scripted-event methods to the fault
+// package's script interface.
 type faultTarget struct {
 	n      *Network
 	rng    *sim.RNG
@@ -94,53 +95,35 @@ type faultTarget struct {
 	nextID core.StationID
 }
 
-func (t *faultTarget) Kill(station int) {
-	t.n.Ring.KillStation(core.StationID(station))
-}
+func (t *faultTarget) Kill(station int) { t.n.kill(core.StationID(station)) }
 
 func (t *faultTarget) Restart(station int) {
 	t.n.Ring.RestartStation(core.StationID(station))
 }
 
 func (t *faultTarget) Leave(station int) {
-	r := t.n.Ring
 	if station >= 0 {
-		if st := r.Station(core.StationID(station)); st != nil {
-			st.Leave()
-		}
+		t.n.leave(core.StationID(station))
 		return
 	}
 	// Churn leave: a uniformly random current member departs.
-	order := r.Order()
+	order := t.n.Ring.Order()
 	if len(order) == 0 {
 		return
 	}
-	if st := r.Station(order[t.rng.Intn(len(order))]); st != nil && st.Active() {
-		st.Leave()
-	}
+	t.n.leave(order[t.rng.Intn(len(order))])
 }
 
 func (t *faultTarget) Join() {
-	r := t.n.Ring
-	order := r.Order()
+	order := t.n.Ring.Order()
 	if len(order) == 0 {
 		return
 	}
-	// Place the newcomer between a random member and its successor, like a
-	// device carried into the room midway between two others.
+	// The newcomer lands between a random member and its successor.
 	i := t.rng.Intn(len(order))
-	a := r.Station(order[i])
-	b := r.Station(order[(i+1)%len(order)])
-	if a == nil || b == nil || !a.Active() || !b.Active() {
-		return
+	if t.n.join(order[i], order[(i+1)%len(order)], t.nextID, radio.Code(2000+int(t.nextID)), t.quota) {
+		t.nextID++
 	}
-	pa, pb := t.n.Medium.PositionOf(a.Node), t.n.Medium.PositionOf(b.Node)
-	mid := radio.Position{X: (pa.X + pb.X) / 2, Y: (pa.Y + pb.Y) / 2}
-	node := t.n.Medium.AddNode(mid, t.n.Medium.RangeOf(a.Node), nil)
-	id := t.nextID
-	t.nextID++
-	j := r.NewJoiner(id, node, radio.Code(2000+int(id)), t.quota)
-	t.n.joiners = append(t.n.joiners, j)
 }
 
 func (t *faultTarget) Members() int { return t.n.Ring.N() }
@@ -176,11 +159,7 @@ func (n *Network) applyFault(fs *FaultSpec) error {
 			return fmt.Errorf("wrtring: fault crash %d targets station %d (N=%d)", i, c.Station, n.Scenario.N)
 		}
 	}
-	quota := fs.ChurnQuota
-	if quota.L == 0 && quota.K() == 0 {
-		quota = Quota{L: 1, K1: 1}
-	}
-	tgt := &faultTarget{n: n, rng: n.RNG.Split(), quota: quota, nextID: 2000}
+	tgt := &faultTarget{n: n, rng: n.RNG.Split(), quota: fs.ChurnQuota, nextID: 2000}
 	script := fault.Script{
 		Churn: fault.Churn{
 			JoinEvery: fs.JoinEvery, LeaveEvery: fs.LeaveEvery,

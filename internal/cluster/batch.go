@@ -32,13 +32,26 @@ func (c *Coordinator) Wait(ctx context.Context, id string) (serve.JobStatus, err
 	return st, nil
 }
 
-// JobResult fetches a done job's result bytes from its owner worker.
+// JobResult fetches a done job's result bytes from its owner worker. A
+// batch can retire a shard as cached and stream it after the job's done
+// record has aged out of the finished FIFO; the bytes then still live on
+// the ID's hash-ring owner, so they are fetched from there.
 func (c *Coordinator) JobResult(ctx context.Context, id string) (json.RawMessage, error) {
 	j, ok := c.jobs.Get(id)
-	if !ok || j.State != serve.StateDone {
+	if ok && j.State != serve.StateDone {
 		return nil, fmt.Errorf("job %s is not done on this coordinator", id)
 	}
-	st, err := c.fetchResult(ctx, id, j.Data.workerID)
+	workerID := j.Data.workerID
+	if !ok {
+		c.mu.Lock()
+		owner, live := c.ownerLocked(id)
+		c.mu.Unlock()
+		if !live {
+			return nil, ErrNoWorkers
+		}
+		workerID = owner.id
+	}
+	st, err := c.fetchResult(ctx, id, workerID)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	wrtring "github.com/rtnet/wrtring"
 	"github.com/rtnet/wrtring/internal/serve"
 	"github.com/rtnet/wrtring/sweep"
 )
@@ -177,5 +178,51 @@ func TestClusterBatchDrainConservation(t *testing.T) {
 	}
 	if int64(n) != st.Expanded {
 		t.Fatalf("stream replayed %d of %d shards", n, st.Expanded)
+	}
+}
+
+// TestClusterBatchResultOutlivesDoneRecord: a batch line answered at submit
+// time from the coordinator's done record must still stream its bytes after
+// that record ages out of the finished FIFO. With one retained record, the
+// second point's completion evicts the first point's record; the line's
+// bytes are then fetched from the ID's hash-ring owner.
+func TestClusterBatchResultOutlivesDoneRecord(t *testing.T) {
+	f := newFleet(t, 1, Config{FinishedRecords: 1})
+	ctx := context.Background()
+
+	_, warm, err := f.client.SubmitScenarios(ctx, []wrtring.Scenario{fastScenario(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.client.Wait(ctx, warm.Runs[0].ID, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+
+	grid := sweep.Grid{Base: fastScenario(1), Axes: []sweep.Axis{sweep.AxisSeeds([]uint64{7, 8})}}
+	sub, err := f.client.SubmitBatch(ctx, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitClusterBatch(t, f.client, sub.ID, "done")
+	n, err := f.client.StreamBatchResults(ctx, sub.ID, func(l serve.BatchResultLine) error {
+		if l.Status != serve.ShardCompleted {
+			t.Errorf("shard %d: status %s, error %q", l.Index, l.Status, l.Error)
+			return nil
+		}
+		res, err := wrtring.Run(fastScenario(uint64(7 + l.Index)))
+		if err != nil {
+			return err
+		}
+		want, err := json.Marshal(res)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(l.Result, want) {
+			t.Errorf("shard %d: bytes differ from a local run:\n got %s\nwant %s", l.Index, l.Result, want)
+		}
+		return nil
+	})
+	if err != nil || n != 2 {
+		t.Fatalf("stream: %d lines, err %v", n, err)
 	}
 }

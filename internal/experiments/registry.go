@@ -203,34 +203,24 @@ func e4(p Params) (*Outcome, error) {
 	type faultCase struct {
 		proto wrtring.Protocol
 		fault string
+		op    wrtring.ChurnOp
 	}
 	var cases []faultCase
 	var jobs []runner.Job
 	for _, proto := range []wrtring.Protocol{wrtring.WRTRing, wrtring.TPT} {
-		for _, fault := range []string{"signal-loss", "station-death"} {
-			c := faultCase{proto: proto, fault: fault}
+		for _, c := range []faultCase{
+			{fault: "signal-loss", op: wrtring.ChurnOp{At: p.Dur / 4, Kind: wrtring.LoseSignal}},
+			{fault: "station-death", op: wrtring.ChurnOp{At: p.Dur / 4, Kind: wrtring.Kill, Station: 8}},
+		} {
+			c.proto = proto
 			cases = append(cases, c)
 			jobs = append(jobs, runner.Job{
-				Name: fmt.Sprintf("%s/%s", proto, fault),
+				Name: fmt.Sprintf("%s/%s", proto, c.fault),
 				Scenario: wrtring.Scenario{
 					Protocol: proto, N: 16, L: 2, K: 2, Seed: p.Seed, Duration: p.Dur,
 					Sources: []wrtring.Source{{Station: wrtring.AllStations, Kind: wrtring.CBR,
 						Class: wrtring.Premium, Period: 80, Dest: wrtring.Opposite()}},
-				},
-				Setup: func(net *wrtring.Network) error {
-					net.Kernel.At(sim.Time(p.Dur/4), sim.PrioAdmin, func() {
-						switch {
-						case c.fault == "signal-loss" && net.Ring != nil:
-							net.Ring.LoseSATOnce()
-						case c.fault == "signal-loss":
-							net.Tree.LoseTokenOnce()
-						case net.Ring != nil:
-							net.Ring.KillStation(8)
-						default:
-							net.Tree.KillStation(8)
-						}
-					})
-					return nil
+					Churn: []wrtring.ChurnOp{c.op},
 				},
 			})
 		}
@@ -449,27 +439,18 @@ func e9(p Params) (*Outcome, error) {
 }
 
 func e10(p Params) (*Outcome, error) {
-	var joiners []*core.Joiner
+	// Joiner j sits midway between stations 2j and 2j+1.
+	var joins []wrtring.ChurnOp
+	for j := 0; j < 3; j++ {
+		joins = append(joins, wrtring.ChurnOp{Kind: wrtring.Join, Station: 2 * j})
+	}
 	rs, err := runJobs(p, []runner.Job{{
 		Name: "joins",
 		Scenario: wrtring.Scenario{
 			N: 10, L: 2, K: 2, Seed: p.Seed, EnableRAP: true, Duration: 2 * p.Dur,
 			Sources: []wrtring.Source{{Station: wrtring.AllStations, Kind: wrtring.CBR,
 				Class: wrtring.Premium, Period: 60, Dest: wrtring.Opposite(), Tagged: true}},
-		},
-		Setup: func(net *wrtring.Network) error {
-			ring, med := net.Ring, net.Medium
-			net.Start()
-			// Joiner j sits midway between stations 2j and 2j+1.
-			for j := 0; j < 3; j++ {
-				a := med.PositionOf(ring.Station(core.StationID(2 * j)).Node)
-				b := med.PositionOf(ring.Station(core.StationID(2*j + 1)).Node)
-				mid := radio.Position{X: (a.X + b.X) / 2, Y: (a.Y + b.Y) / 2}
-				node := med.AddNode(mid, med.RangeOf(ring.Station(0).Node), nil)
-				joiners = append(joiners, ring.NewJoiner(core.StationID(100+j), node,
-					radio.Code(100+j), core.Quota{L: 1, K1: 1}))
-			}
-			return nil
+			Churn: joins,
 		},
 	}})
 	if err != nil {
@@ -478,7 +459,7 @@ func e10(p Params) (*Outcome, error) {
 	res, ring := rs[0].Res, rs[0].Net.Ring
 	joined, worst, viol := 0, 0.0, 0
 	var latSum, latN int64
-	for _, j := range joiners {
+	for _, j := range rs[0].Net.Joiners() {
 		if j.Joined() {
 			joined++
 			latSum += j.JoinLatency()
@@ -524,10 +505,7 @@ func e11(p Params) (*Outcome, error) {
 			Name: g.key,
 			Scenario: wrtring.Scenario{
 				N: 12, L: 2, K: 2, Seed: p.Seed, Duration: p.Dur, RangeChords: g.chords,
-			},
-			Setup: func(net *wrtring.Network) error {
-				net.Kernel.At(5_000, sim.PrioAdmin, func() { net.Ring.KillStation(6) })
-				return nil
+				Churn: []wrtring.ChurnOp{{At: 5_000, Kind: wrtring.Kill, Station: 6}},
 			},
 		})
 	}

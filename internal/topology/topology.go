@@ -117,7 +117,7 @@ func BuildGraph(pos []radio.Position, txRange float64) codes.Graph {
 	flat := make([]int, total)
 	off := 0
 	for i := 0; i < n; i++ {
-		g[i] = flat[off:off : off+deg[i]]
+		g[i] = flat[off : off : off+deg[i]]
 		off += deg[i]
 	}
 	// Second pass replays the pair order of the first, so each list fills
@@ -332,7 +332,7 @@ func (b *TreeBuilder) Build(g codes.Graph, root int) (*Tree, error) {
 	b.flat = growInts(b.flat, n-1)
 	off := 0
 	for u := 0; u < n; u++ {
-		t.Children[u] = b.flat[off:off : off+cdeg[u]]
+		t.Children[u] = b.flat[off : off : off+cdeg[u]]
 		off += cdeg[u]
 	}
 	for v := 0; v < n; v++ {

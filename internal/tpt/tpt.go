@@ -434,7 +434,7 @@ func (n *Network) buildTree(root StationID) error {
 	s.flat = growInts(s.flat, total)
 	off := 0
 	for i := 0; i < m; i++ {
-		s.g[i] = s.flat[off:off : off+s.deg[i]]
+		s.g[i] = s.flat[off : off : off+s.deg[i]]
 		off += s.deg[i]
 	}
 	for i := 0; i < m; i++ {

@@ -74,7 +74,6 @@ func (n *Network) Joiners() []*core.Joiner { return n.joiners }
 
 // applyChurn installs the scripted operations onto the kernel.
 func (n *Network) applyChurn(ops []ChurnOp) error {
-	nextID := core.StationID(1000)
 	for i, op := range ops {
 		op := op
 		if op.Kind != LoseSignal && (op.Station < 0 || op.Station >= n.Scenario.N) {
@@ -88,54 +87,77 @@ func (n *Network) applyChurn(ops []ChurnOp) error {
 				return fmt.Errorf("wrtring: churn op %d is a Join but EnableRAP is off", i)
 			}
 		}
-		id := nextID
-		nextID++
+		id := core.StationID(1000 + i)
 		n.Kernel.At(sim.Time(op.At), sim.PrioAdmin, func() {
+			s := core.StationID(op.Station)
 			switch op.Kind {
 			case Kill:
-				if n.Ring != nil {
-					n.Ring.KillStation(core.StationID(op.Station))
-				} else {
-					n.Tree.KillStation(core.StationID(op.Station))
-				}
+				n.kill(s)
 			case Leave:
-				if n.Ring != nil {
-					if st := n.Ring.Station(core.StationID(op.Station)); st != nil {
-						st.Leave()
-					}
-				} else {
-					n.Tree.KillStation(core.StationID(op.Station)) // TPT has no graceful leave
-				}
+				n.leave(s)
 			case LoseSignal:
-				if n.Ring != nil {
-					n.Ring.LoseSATOnce()
-				} else {
-					n.Tree.LoseTokenOnce()
-				}
+				n.loseSignal()
 			case Join:
-				n.scriptedJoin(id, op)
+				next := core.StationID((op.Station + 1) % n.Scenario.N)
+				n.join(s, next, id, radio.Code(1000+int(id)), op.Quota)
 			}
 		})
 	}
 	return nil
 }
 
-func (n *Network) scriptedJoin(id core.StationID, op ChurnOp) {
-	ring := n.Ring
-	a := ring.Station(core.StationID(op.Station))
-	b := ring.Station(core.StationID((op.Station + 1) % n.Scenario.N))
-	if a == nil || b == nil || !a.Active() || !b.Active() {
+// The scripted-event adapter. Scenario.Churn ops and the FaultSpec
+// crash/churn script both act on the protocol through these methods, so
+// each event has one body per protocol.
+
+// kill powers station id off silently (§2.5).
+func (n *Network) kill(id core.StationID) {
+	if n.Ring != nil {
+		n.Ring.KillStation(id)
+	} else {
+		n.Tree.KillStation(id)
+	}
+}
+
+// leave makes station id depart gracefully (§2.4.2) if it is still active.
+// TPT has no graceful leave, so there the station is killed.
+func (n *Network) leave(id core.StationID) {
+	if n.Ring == nil {
+		n.kill(id)
 		return
 	}
-	pa, pb := n.Medium.PositionOf(a.Node), n.Medium.PositionOf(b.Node)
+	if st := n.Ring.Station(id); st != nil && st.Active() {
+		st.Leave()
+	}
+}
+
+// loseSignal destroys the next control-signal transmission: the SAT on
+// WRT-Ring, the token on TPT (§2.5).
+func (n *Network) loseSignal() {
+	if n.Ring != nil {
+		n.Ring.LoseSATOnce()
+	} else {
+		n.Tree.LoseTokenOnce()
+	}
+}
+
+// join places newcomer id midway between ring members a and b, like a
+// device carried into the room between them, and starts its RAP entry
+// (§2.4.1) with quota q (zero gets L=1, K1=1). It places nothing and
+// reports false unless both members are live. WRT-Ring only.
+func (n *Network) join(a, b, id core.StationID, code radio.Code, q Quota) bool {
+	sa, sb := n.Ring.Station(a), n.Ring.Station(b)
+	if sa == nil || sb == nil || !sa.Active() || !sb.Active() {
+		return false
+	}
+	pa, pb := n.Medium.PositionOf(sa.Node), n.Medium.PositionOf(sb.Node)
 	mid := radio.Position{X: (pa.X + pb.X) / 2, Y: (pa.Y + pb.Y) / 2}
-	node := n.Medium.AddNode(mid, n.Medium.RangeOf(a.Node), nil)
-	q := op.Quota
+	node := n.Medium.AddNode(mid, n.Medium.RangeOf(sa.Node), nil)
 	if q.L == 0 && q.K() == 0 {
 		q = Quota{L: 1, K1: 1}
 	}
-	j := ring.NewJoiner(id, node, radio.Code(1000+int(id)), q)
-	n.joiners = append(n.joiners, j)
+	n.joiners = append(n.joiners, n.Ring.NewJoiner(id, node, code, q))
+	return true
 }
 
 // applyMobility starts the waypoint stepper.

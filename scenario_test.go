@@ -1,8 +1,11 @@
 package wrtring
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
+	"github.com/rtnet/wrtring/internal/sim"
 	"github.com/rtnet/wrtring/internal/trace"
 )
 
@@ -46,6 +49,90 @@ func TestScriptedChurn(t *testing.T) {
 	}
 	if j.Count(trace.Exile) != 1 {
 		t.Fatalf("journal exiles=%d", j.Count(trace.Exile))
+	}
+
+	// The same script on TPT: the kill and the leave (TPT has no graceful
+	// leave, so it is a kill) each force a tree rebuild; the signal loss is
+	// healed by a successful claim.
+	tres, err := Run(Scenario{
+		Protocol: TPT, N: 10, L: 2, K: 2, Seed: 40, Duration: 80_000,
+		RangeChords: 3.5,
+		Churn: []ChurnOp{
+			{At: 5_000, Kind: Kill, Station: 7},
+			{At: 15_000, Kind: Leave, Station: 3},
+			{At: 40_000, Kind: LoseSignal},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tres.Dead {
+		t.Fatal("tree died under scripted churn")
+	}
+	if tres.N != 8 || tres.Reformations != 2 || tres.Splices != 1 {
+		t.Fatalf("TPT churn: N=%d rebuilds=%d claim successes=%d, want 8, 2, 1",
+			tres.N, tres.Reformations, tres.Splices)
+	}
+}
+
+// TestChurnOpMatchesKernelAt pins the scripted op to the hand-written
+// kernel event it replaces: the op and a PrioAdmin closure scheduled at the
+// same slot give byte-identical results on both protocols.
+func TestChurnOpMatchesKernelAt(t *testing.T) {
+	const at = 5_000
+	for _, proto := range []Protocol{WRTRing, TPT} {
+		for _, op := range []ChurnOp{
+			{At: at, Kind: Kill, Station: 5},
+			{At: at, Kind: LoseSignal},
+		} {
+			t.Run(proto.String()+"/"+op.Kind.String(), func(t *testing.T) {
+				base := Scenario{
+					Protocol: proto, N: 12, L: 2, K: 2, Seed: 43, Duration: 20_000,
+					Sources: []Source{{Station: AllStations, Kind: CBR, Class: Premium,
+						Period: 60, Dest: Opposite()}},
+				}
+				scripted := base
+				scripted.Churn = []ChurnOp{op}
+				viaOp, err := Run(scripted)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				net, err := Build(base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				net.Start()
+				net.Kernel.At(at, sim.PrioAdmin, func() {
+					switch {
+					case op.Kind == Kill && net.Ring != nil:
+						net.Ring.KillStation(StationID(op.Station))
+					case op.Kind == Kill:
+						net.Tree.KillStation(StationID(op.Station))
+					case net.Ring != nil:
+						net.Ring.LoseSATOnce()
+					default:
+						net.Tree.LoseTokenOnce()
+					}
+				})
+				viaAt := net.Run()
+
+				a, err := json.Marshal(viaOp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := json.Marshal(viaAt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(a, b) {
+					t.Fatalf("churn op and Kernel.At closure differ:\nop: %s\nat: %s", a, b)
+				}
+				if viaOp.Detections == 0 {
+					t.Fatal("fault never detected")
+				}
+			})
+		}
 	}
 }
 

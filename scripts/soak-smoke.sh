@@ -3,7 +3,7 @@
 # exercise the batch subsystem end to end, then put the cluster under a
 # short wrtsoak load run. Asserts:
 #   (a) a grid submitted via POST /v1/batches streams the same CSV as the
-#       per-run remote path (one batch request vs N submissions),
+#       same grid run in-process,
 #   (b) resubmitting the identical grid starts zero new simulations — the
 #       second batch is answered entirely from the fleet's cache shards,
 #   (c) a 10s wrtsoak run reports nonzero throughput with latency quantiles.
@@ -40,21 +40,20 @@ done
 curl -sf "http://$COORD/healthz"
 
 run_grid() {
-  "$BIN/wrtsweep" -over n -values 5,8,10 -protocols both -dur 5000 \
-    -server "http://$COORD" "$@"
+  "$BIN/wrtsweep" -over n -values 5,8,10 -protocols both -dur 5000 "$@"
 }
 
-# (a) One POST /v1/batches streams the same bytes as N per-run submissions.
-per_run=$(run_grid)
-batch=$(run_grid -batch)
-if [ "$per_run" != "$batch" ]; then
-  echo "soak-smoke: batch CSV diverged from per-run CSV" >&2
+# (a) One POST /v1/batches streams the same bytes as the in-process run.
+local_csv=$(run_grid)
+batch=$(run_grid -server "http://$COORD")
+if [ "$local_csv" != "$batch" ]; then
+  echo "soak-smoke: batch CSV diverged from in-process CSV" >&2
   exit 1
 fi
 
 # (b) The resubmitted grid must not start a single new simulation: 3 station
 # counts x 2 protocols = 6 distinct scenarios, admitted exactly once.
-batch2=$(run_grid -batch)
+batch2=$(run_grid -server "http://$COORD")
 if [ "$batch" != "$batch2" ]; then
   echo "soak-smoke: batch CSV diverged between passes" >&2
   exit 1
@@ -76,4 +75,4 @@ fi
 "$BIN/wrtsoak" -server "http://$COORD" -duration 10s -concurrency 4 \
   -hit 0.5 -slots 2000 -json "$SOAK_SUMMARY"
 
-echo "soak-smoke: OK — batch==per-run CSV, second batch fully cached, soak summary in $SOAK_SUMMARY"
+echo "soak-smoke: OK — batch==in-process CSV, second batch fully cached, soak summary in $SOAK_SUMMARY"
